@@ -19,59 +19,4 @@ Modules by concern:
 * ``cli`` - config-driven experiment runner (``kuramoto-damping``).
 """
 
-from .distributions import (
-    Cauchy,
-    FrequencyDistribution,
-    Gaussian,
-    Mixture,
-    QuadratureGrid,
-    bi_cauchy,
-    build_grid,
-    distribution_from_config,
-    distribution_to_config,
-    fourier_moment,
-    sobolev_norm,
-)
-from .dispersion import (
-    DispersionRelation,
-    StabilityReport,
-    analyze_stability,
-    boundary_values,
-    critical_coupling,
-    find_unstable_root,
-    l1_sufficient_check,
-    winding_number,
-)
-from .volterra import (
-    DecayFit,
-    VolterraProblem,
-    VolterraSolution,
-    empirical_stability_constant,
-    fit_decay,
-    instability_witness,
-    kuramoto_kernel,
-    linear_input_from_initial_data,
-    mode_input_from_grid,
-    solve,
-)
-from .spectral import (
-    SimResult,
-    SpectralState,
-    initialize,
-    order_parameter,
-    recurrence_horizon,
-    rhs,
-    run,
-    scattering_profile,
-    sobolev_diagnostics,
-    step,
-)
-from .finiten import (
-    FiniteNState,
-    order_parameter_n,
-    sample_oscillators,
-    simulate,
-    step_rk4,
-)
-
 __version__ = "0.1.0"

@@ -10,17 +10,15 @@ format-version field.  Time series go to CSV (floats printed with 17
 significant digits so reruns are byte-identical), reports to JSON.
 
 Exit codes: 0 success, 2 config/validation error (no artifacts), 3 numeric
-failure (diagnostic error.json written when possible).  The environment
-variable KD_THREADS caps worker parallelism for parameter scans.
+failure (diagnostic error.json written when possible).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +29,7 @@ from .distributions import (
     build_grid,
     distribution_from_config,
     distribution_to_config,
+    require_keys,
 )
 from .exceptions import ConfigError, KuramotoDampingError, MismatchedConfigs
 
@@ -43,16 +42,11 @@ EXPERIMENTS = ("stability", "kc-scan", "linear", "witness", "nonlinear", "finite
 # config validation
 
 
-def _check_keys(obj, required, optional, context):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context}: expected an object, got {type(obj).__name__}")
-    keys = set(obj)
-    missing = set(required) - keys
-    unknown = keys - set(required) - set(optional)
-    if missing:
-        raise ConfigError(f"{context}: missing keys {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+def _integer(obj, key, context, default=None, minimum=1):
+    val = obj.get(key, default)
+    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+        raise ConfigError(f"{context}: {key} must be an integer >= {minimum}, got {val!r}")
+    return val
 
 
 def _positive(obj, key, context):
@@ -69,6 +63,17 @@ def _nonnegative(obj, key, context):
     return float(val)
 
 
+@contextlib.contextmanager
+def _constructing(context):
+    """Report a library ValueError raised while a problem is built as a config error."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def _distribution(obj, context):
     try:
         return distribution_from_config(obj)
@@ -78,11 +83,9 @@ def _distribution(obj, context):
 
 def _mode_profile(spec, context):
     """One initial-perturbation mode: h_k(omega) from its JSON description."""
-    _check_keys(spec, {"mode", "kind"}, {"value", "amplitude", "width", "center", "phase_delay"}, context)
+    require_keys(spec, {"mode", "kind"}, {"value", "amplitude", "width", "center", "phase_delay"}, context)
     kind = spec["kind"]
-    mode = spec["mode"]
-    if not isinstance(mode, int) or mode < 1:
-        raise ConfigError(f"{context}: mode must be an integer >= 1, got {mode!r}")
+    mode = _integer(spec, "mode", context)
     if kind == "constant":
         raw = spec.get("value", 1.0)
         value = complex(raw[0], raw[1]) if isinstance(raw, (list, tuple)) else complex(raw)
@@ -96,7 +99,7 @@ def _mode_profile(spec, context):
 
 
 def _perturbation_modes(obj, context):
-    _check_keys(obj, {"modes"}, set(), context)
+    require_keys(obj, {"modes"}, set(), context)
     if not isinstance(obj["modes"], list) or not obj["modes"]:
         raise ConfigError(f"{context}: modes must be a non-empty list")
     modes = {}
@@ -152,25 +155,15 @@ def _order_parameter_csv(path, times, values, weight_order):
     )
 
 
-def _max_workers():
-    raw = os.environ.get("KD_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"KD_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
 
 def run_stability(config, outdir):
-    _check_keys(config, {"distribution", "coupling"}, {"boundary_points"}, "stability")
+    require_keys(config, {"distribution", "coupling"}, {"boundary_points"}, "stability")
     dist = _distribution(config["distribution"], "stability")
     coupling = _nonnegative(config, "coupling", "stability")
-    points = int(config.get("boundary_points", 2001))
+    points = _integer(config, "boundary_points", "stability", default=2001)
     report = dispersion.analyze_stability(dist, coupling, boundary_points=points)
     payload = {"formatVersion": FORMAT_VERSION, "config": config}
     payload.update(report.to_json_dict())
@@ -179,7 +172,7 @@ def run_stability(config, outdir):
 
 
 def run_kc_scan(config, outdir):
-    _check_keys(config, {"parameter", "values"}, {"delta", "omega0"}, "kc-scan")
+    require_keys(config, {"parameter", "values"}, {"delta", "omega0"}, "kc-scan")
     parameter = config["parameter"]
     values = config["values"]
     if parameter not in ("omega0", "delta"):
@@ -192,12 +185,8 @@ def run_kc_scan(config, outdir):
             return bi_cauchy(float(config.get("delta", 1.0)), float(value))
         return bi_cauchy(float(value), float(config.get("omega0", 0.0)))
 
-    def solve_one(value):
-        kc, crit = dispersion.critical_coupling(family(value))
-        return float(value), kc, crit
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(solve_one, values))
+    with _constructing("kc-scan"):
+        rows = [(float(v), *dispersion.critical_coupling(family(v))) for v in values]
 
     _write_csv(
         outdir / "kc_scan.csv",
@@ -213,7 +202,7 @@ def run_kc_scan(config, outdir):
 
 def _linear_source(config, dist, context):
     spec = config["input"]
-    _check_keys(
+    require_keys(
         spec, {"type"}, {"exponent", "modulation", "profile", "path", "grid_nodes", "mass_threshold"},
         f"{context}.input",
     )
@@ -238,7 +227,7 @@ def _linear_source(config, dist, context):
         mode, profile = _mode_profile({"mode": 1, **spec["profile"]}, f"{context}.input.profile")
         grid = build_grid(
             dist,
-            int(spec.get("grid_nodes", 2048)),
+            _integer(spec, "grid_nodes", f"{context}.input", default=2048),
             float(spec.get("mass_threshold", 1.0 - 1e-8)),
         )
         return volterra.mode_input_from_grid(grid, profile)
@@ -259,7 +248,7 @@ def _linear_source(config, dist, context):
 
 
 def run_linear(config, outdir):
-    _check_keys(
+    require_keys(
         config,
         {"distribution", "coupling", "input", "dt", "horizon"},
         {"weight_order", "fit_window"},
@@ -269,12 +258,12 @@ def run_linear(config, outdir):
     coupling = _nonnegative(config, "coupling", "linear")
     dt = _positive(config, "dt", "linear")
     horizon = _positive(config, "horizon", "linear")
-    weight_order = int(config.get("weight_order", 4))
-    source = _linear_source(config, dist, "linear")
-
-    problem = volterra.VolterraProblem(
-        volterra.kuramoto_kernel(dist, coupling), source, dt, horizon
-    )
+    weight_order = _integer(config, "weight_order", "linear", default=4, minimum=0)
+    with _constructing("linear"):
+        source = _linear_source(config, dist, "linear")
+        problem = volterra.VolterraProblem(
+            volterra.kuramoto_kernel(dist, coupling), source, dt, horizon
+        )
     solution = volterra.solve(problem)
     _order_parameter_csv(outdir / "R.csv", solution.times, solution.values, weight_order)
 
@@ -303,19 +292,19 @@ def run_linear(config, outdir):
 
 
 def run_witness(config, outdir):
-    _check_keys(
+    require_keys(
         config, {"distribution", "coupling", "dt", "horizon"}, {"amplitude"}, "witness"
     )
     dist = _distribution(config["distribution"], "witness")
     coupling = _nonnegative(config, "coupling", "witness")
     dt = _positive(config, "dt", "witness")
     horizon = _positive(config, "horizon", "witness")
-    amplitude = float(config.get("amplitude", 1.0))
-
-    source, rate = volterra.instability_witness(dist, coupling, amplitude)
-    problem = volterra.VolterraProblem(
-        volterra.kuramoto_kernel(dist, coupling), source, dt, horizon
-    )
+    with _constructing("witness"):
+        amplitude = float(config.get("amplitude", 1.0))
+        source, rate = volterra.instability_witness(dist, coupling, amplitude)
+        problem = volterra.VolterraProblem(
+            volterra.kuramoto_kernel(dist, coupling), source, dt, horizon
+        )
     solution = volterra.solve(problem)
     f_vals = np.asarray(source(solution.times))
     _write_csv(
@@ -343,7 +332,7 @@ def run_witness(config, outdir):
 
 
 def run_nonlinear(config, outdir):
-    _check_keys(
+    require_keys(
         config,
         {"distribution", "coupling", "epsilon", "k_max", "grid_nodes", "dt", "horizon",
          "initial_perturbation"},
@@ -355,23 +344,25 @@ def run_nonlinear(config, outdir):
     epsilon = _positive(config, "epsilon", "nonlinear")
     dt = _positive(config, "dt", "nonlinear")
     horizon = _positive(config, "horizon", "nonlinear")
-    k_max = int(config["k_max"])
-    nodes = int(config["grid_nodes"])
-    output_every = int(config.get("output_every", 10))
-    weight_order = int(config.get("weight_order", 4))
+    k_max = _integer(config, "k_max", "nonlinear")
+    nodes = _integer(config, "grid_nodes", "nonlinear")
+    output_every = _integer(config, "output_every", "nonlinear", default=10)
+    weight_order = _integer(config, "weight_order", "nonlinear", default=4, minimum=0)
     snapshot_times = tuple(config.get("snapshot_times", ()))
-    modes = _perturbation_modes(config["initial_perturbation"], "nonlinear.initial_perturbation")
 
-    grid = build_grid(dist, nodes, float(config.get("mass_threshold", 1.0 - 1e-8)))
-    state = spectral.initialize(dist, grid, k_max, epsilon, coupling, modes=modes)
-    result = spectral.run(
-        state,
-        dt,
-        horizon,
-        output_every=output_every,
-        weight_order=weight_order,
-        snapshot_times=snapshot_times,
-    )
+    # run checks the step-size bound and the weight order before it marches
+    with _constructing("nonlinear"):
+        modes = _perturbation_modes(config["initial_perturbation"], "nonlinear.initial_perturbation")
+        grid = build_grid(dist, nodes, float(config.get("mass_threshold", 1.0 - 1e-8)))
+        state = spectral.initialize(dist, grid, k_max, epsilon, coupling, modes=modes)
+        result = spectral.run(
+            state,
+            dt,
+            horizon,
+            output_every=output_every,
+            weight_order=weight_order,
+            snapshot_times=snapshot_times,
+        )
 
     _order_parameter_csv(outdir / "R.csv", result.times, result.order_params, weight_order)
     _write_csv(
@@ -379,7 +370,7 @@ def run_nonlinear(config, outdir):
         ["t", f"(1+t)^{weight_order}*abs(R)", f"H{weight_order}/(1+t)", f"H{weight_order - 2}"],
         [
             [float(t) for t in result.times],
-            [float(v) for v in result.diag_weighted],
+            [float(v) for v in result.weighted_abs],
             [float(v) for v in result.diag_norm_over_time],
             [float(v) for v in result.diag_norm_low],
         ],
@@ -409,7 +400,7 @@ def run_nonlinear(config, outdir):
 
 
 def run_finite_n(config, outdir):
-    _check_keys(
+    require_keys(
         config,
         {"distribution", "oscillators", "coupling", "epsilon", "dt", "horizon",
          "initial_perturbation"},
@@ -417,19 +408,19 @@ def run_finite_n(config, outdir):
         "finite-n",
     )
     dist = _distribution(config["distribution"], "finite-n")
-    count = int(config["oscillators"])
+    count = _integer(config, "oscillators", "finite-n")
     coupling = _nonnegative(config, "coupling", "finite-n")
     epsilon = _nonnegative(config, "epsilon", "finite-n")
     dt = _positive(config, "dt", "finite-n")
     horizon = _positive(config, "horizon", "finite-n")
     sampling = config.get("sampling", "quantile")
     seed = config.get("seed")
-    output_every = int(config.get("output_every", 10))
-    modes = _perturbation_modes(config["initial_perturbation"], "finite-n.initial_perturbation")
-
-    state = finiten.sample_oscillators(
-        dist, count, coupling, epsilon=epsilon, modes=modes, sampling=sampling, seed=seed
-    )
+    output_every = _integer(config, "output_every", "finite-n", default=10)
+    with _constructing("finite-n"):
+        modes = _perturbation_modes(config["initial_perturbation"], "finite-n.initial_perturbation")
+        state = finiten.sample_oscillators(
+            dist, count, coupling, epsilon=epsilon, modes=modes, sampling=sampling, seed=seed
+        )
     times, orders = finiten.simulate(state, dt, horizon, output_every=output_every)
     _write_csv(
         outdir / "zn.csv",
@@ -500,7 +491,7 @@ def _comparison_artifacts(outdir, config, epsilon, t_fin, z, t_cont, r):
 
 
 def run_compare(config, outdir):
-    _check_keys(config, {"continuum_dir", "finite_n_dir"}, set(), "compare")
+    require_keys(config, {"continuum_dir", "finite_n_dir"}, set(), "compare")
     cont_cfg, cont = _load_run(config["continuum_dir"], "nonlinear", "R.csv", "compare")
     fin_cfg, fin = _load_run(config["finite_n_dir"], "finite-n", "zn.csv", "compare")
 

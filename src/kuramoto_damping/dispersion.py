@@ -213,10 +213,6 @@ class BoundaryValues:
     laplace: np.ndarray
     hilbert: np.ndarray
 
-    @property
-    def values(self):
-        return self.laplace
-
 
 def boundary_values(relation, omega_grid, cross_check_tol=1e-6):
     """Evaluate D on a sorted real grid by quadrature and by the boundary form.

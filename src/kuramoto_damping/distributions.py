@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .exceptions import Divergent, MassNotCovered, UnsupportedOrder
+from .exceptions import ConfigError, Divergent, MassNotCovered, UnsupportedOrder
 
 __all__ = [
     "FrequencyDistribution",
@@ -38,6 +38,7 @@ __all__ = [
     "build_grid",
     "distribution_from_config",
     "distribution_to_config",
+    "require_keys",
     "MAX_DERIVATIVE_ORDER",
 ]
 
@@ -481,13 +482,13 @@ def distribution_from_config(obj):
         raise ValueError(f"distribution spec must be an object, got {type(obj).__name__}")
     family = obj.get("family")
     if family == "cauchy":
-        _require_keys(obj, {"family", "delta"}, {"center"})
+        require_keys(obj, {"family", "delta"}, {"center"}, "distribution")
         return Cauchy(half_width=float(obj["delta"]), center=float(obj.get("center", 0.0)))
     if family == "gaussian":
-        _require_keys(obj, {"family", "sigma"}, {"center"})
+        require_keys(obj, {"family", "sigma"}, {"center"}, "distribution")
         return Gaussian(std_dev=float(obj["sigma"]), center=float(obj.get("center", 0.0)))
     if family == "mixture":
-        _require_keys(obj, {"family", "weights", "components"}, set())
+        require_keys(obj, {"family", "weights", "components"}, set(), "distribution")
         comps = tuple(distribution_from_config(c) for c in obj["components"])
         return Mixture(weights=tuple(float(w) for w in obj["weights"]), components=comps)
     raise ValueError(f"unknown distribution family: {family!r}")
@@ -507,11 +508,14 @@ def distribution_to_config(dist):
     raise ValueError(f"cannot serialize distribution of type {type(dist).__name__}")
 
 
-def _require_keys(obj, required, optional):
-    keys = set(obj.keys())
-    missing = required - keys
-    unknown = keys - required - optional
+def require_keys(obj, required, optional, context):
+    """Strict key check for a JSON object: every required key and nothing else."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context}: expected an object, got {type(obj).__name__}")
+    keys = set(obj)
+    missing = set(required) - keys
+    unknown = keys - set(required) - set(optional)
     if missing:
-        raise ValueError(f"distribution spec missing keys: {sorted(missing)}")
+        raise ConfigError(f"{context}: missing keys {sorted(missing)}")
     if unknown:
-        raise ValueError(f"distribution spec has unknown keys: {sorted(unknown)}")
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")

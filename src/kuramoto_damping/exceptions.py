@@ -5,7 +5,7 @@ class KuramotoDampingError(Exception):
     """Base class for numeric and domain failures raised by this package."""
 
 
-class ConfigError(KuramotoDampingError):
+class ConfigError(KuramotoDampingError, ValueError):
     """Invalid experiment configuration (unknown key, bad type, missing field)."""
 
 

@@ -203,27 +203,28 @@ def _phases(state, dt):
     return np.exp(lam * (0.5 * dt)), np.exp(lam * dt)
 
 
-def _lawson_step(coeffs, dt, p_half, p_full, weights, k_values, epsilon, coupling):
-    n = lambda c: _coupling_rhs(c, weights, k_values, epsilon, coupling)[0]
+def _advance(state, dt, p_half, p_full):
+    """One integrating-factor RK4 step in place, then the blowup guard.
+
+    ``p_half`` and ``p_full`` are the transport factors from ``_phases``.
+    """
+    k_values = np.arange(1, state.k_max + 1, dtype=float)
+    n = lambda c: _coupling_rhs(c, state.grid.weights, k_values, state.epsilon, state.coupling)[0]
+    coeffs = state.coeffs
     k1 = n(coeffs)
     k2 = n(p_half * (coeffs + 0.5 * dt * k1))
     k3 = n(p_half * coeffs + 0.5 * dt * k2)
     k4 = n(p_full * coeffs + dt * (p_half * k3))
-    return p_full * coeffs + dt / 6.0 * (p_full * k1 + 2.0 * p_half * (k2 + k3) + k4)
-
-
-def step(state, dt):
-    """Advance by one integrating-factor RK4 step (transport exact)."""
-    p_half, p_full = _phases(state, dt)
-    k_values = np.arange(1, state.k_max + 1, dtype=float)
-    state.coeffs = _lawson_step(
-        state.coeffs, dt, p_half, p_full, state.grid.weights, k_values,
-        state.epsilon, state.coupling,
-    )
+    state.coeffs = p_full * coeffs + dt / 6.0 * (p_full * k1 + 2.0 * p_half * (k2 + k3) + k4)
     state.time += dt
     peak = float(np.max(np.abs(state.coeffs)))
     if not math.isfinite(peak) or peak > BLOWUP_GUARD:
         raise BlowupDetected(f"mode amplitude reached {peak:.3e} at t = {state.time:.3f}")
+
+
+def step(state, dt):
+    """Advance by one integrating-factor RK4 step (transport exact)."""
+    _advance(state, dt, *_phases(state, dt))
     return state
 
 
@@ -243,7 +244,6 @@ class SimResult:
     times: np.ndarray
     order_params: np.ndarray
     weighted_abs: np.ndarray  # (1+t)^n |R(t)|
-    diag_weighted: np.ndarray  # same quantity, kept with the other two components
     diag_norm_over_time: np.ndarray  # ||p||_{H^n} / (1+t)
     diag_norm_low: np.ndarray  # ||p||_{H^{n-2}}
     snapshots: dict  # t -> unwound profile array (k_max, J)
@@ -272,13 +272,11 @@ def run(
     if time_step > bound * (1.0 + 1e-12):
         raise ValueError(f"time_step {time_step} exceeds stability bound {bound:.4g}")
     steps = int(round(horizon / time_step))
-    p_half, p_full = _phases(state, time_step)
-    k_values = np.arange(1, state.k_max + 1, dtype=float)
-    weights = state.grid.weights
+    phases = _phases(state, time_step)
 
     wanted = sorted(set(float(t) for t in snapshot_times))
     times, orders = [], []
-    diag = ([], [], [])
+    diag = ([], [])
     snapshots = {}
 
     def record():
@@ -287,39 +285,27 @@ def run(
         times.append(t)
         orders.append(R)
         if collect_diagnostics:
-            w, over, low = sobolev_diagnostics(state, weight_order)
-            diag[0].append(w)
-            diag[1].append(over)
-            diag[2].append(low)
+            over, low = sobolev_diagnostics(state, weight_order)
+            diag[0].append(over)
+            diag[1].append(low)
         if wanted and abs(t - wanted[0]) <= 0.5 * time_step * output_every:
             snapshots[t] = unwound_profile(state)
             wanted.pop(0)
 
     record()
     for i in range(1, steps + 1):
-        state.coeffs = _lawson_step(
-            state.coeffs, time_step, p_half, p_full, weights, k_values,
-            state.epsilon, state.coupling,
-        )
-        state.time += time_step
-        peak = float(np.max(np.abs(state.coeffs)))
-        if not math.isfinite(peak) or peak > BLOWUP_GUARD:
-            raise BlowupDetected(
-                f"mode amplitude reached {peak:.3e} at t = {state.time:.3f}"
-            )
+        _advance(state, time_step, *phases)
         if i % output_every == 0 or i == steps:
             record()
 
     times = np.array(times)
     orders = np.array(orders)
-    weighted = (1.0 + times) ** weight_order * np.abs(orders)
     return SimResult(
         times=times,
         order_params=orders,
-        weighted_abs=weighted,
-        diag_weighted=np.array(diag[0]) if collect_diagnostics else weighted,
-        diag_norm_over_time=np.array(diag[1]) if collect_diagnostics else np.array([]),
-        diag_norm_low=np.array(diag[2]) if collect_diagnostics else np.array([]),
+        weighted_abs=(1.0 + times) ** weight_order * np.abs(orders),
+        diag_norm_over_time=np.array(diag[0]),
+        diag_norm_low=np.array(diag[1]),
         snapshots=snapshots,
         recurrence_time=recurrence_horizon(state.grid),
         weight_order=weight_order,
@@ -340,57 +326,81 @@ def unwound_profile(state):
 
 
 def _fornberg_weights(x, x0, max_order):
-    """Finite-difference weights for derivatives 0..max_order at x0 (Fornberg)."""
-    n = x.size
-    c = np.zeros((n, max_order + 1))
+    """Finite-difference weights for derivatives 0..max_order (Fornberg 1988).
+
+    Runs the recurrence on all stencils at once: ``x`` holds one stencil per
+    row, ``x0`` the matching evaluation points; returns weights of shape
+    (rows, stencil size, max_order + 1).
+    """
+    n = x.shape[-1]
+    c = np.zeros(x.shape + (max_order + 1,))
     c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
+    c4 = x[:, 0] - x0
+    c[:, 0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, max_order)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[:, i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[:, i] - x[:, j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[:, i, k] = c1 * (k * c[:, i - 1, k - 1] - c5 * c[:, i - 1, k]) / c2
+                c[:, i, 0] = -c1 * c5 * c[:, i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[:, j, k] = (c4 * c[:, j, k] - k * c[:, j, k - 1]) / c3
+            c[:, j, 0] = c4 * c[:, j, 0] / c3
         c1 = c2
     return c
 
 
-_DERIV_CACHE = {}
+def _stencils(nodes, order, max_gap_ratio=10.0):
+    """Banded finite-difference stencils for d^order/domega^order on the nodes.
+
+    Returns (idx, W), both of shape (J, order + 3): row i of the derivative is
+    sum_s W[i, s] f[idx[i, s]].  Two points beyond the order give ~2nd-order
+    accuracy; stencils shift inward at the ends of the grid.
+    """
+    width = order + 3
+    if nodes.size < width:
+        raise GridTooCoarse(f"{nodes.size} nodes cannot hold a {width}-point stencil")
+    lo = np.clip(np.arange(nodes.size) - width // 2, 0, nodes.size - width)
+    idx = lo[:, None] + np.arange(width)
+    sten = nodes[idx]
+    gaps = np.diff(sten, axis=1)
+    ratio = gaps.max(axis=1) / gaps.min(axis=1)
+    coarse = np.flatnonzero(ratio > max_gap_ratio)
+    if coarse.size:
+        i = coarse[0]
+        raise GridTooCoarse(
+            f"stencil at node {i} spans gap ratio {ratio[i]:.1f} (limit {max_gap_ratio})"
+        )
+    return idx, _fornberg_weights(sten, nodes, order)[:, :, order]
 
 
-def _derivative_matrix(grid, order, max_gap_ratio=10.0):
-    """Dense nonuniform finite-difference matrix for the given derivative order."""
-    if order == 0:
-        return None
-    key = (id(grid), order)
-    if key in _DERIV_CACHE:
-        return _DERIV_CACHE[key]
-    x = grid.nodes
-    n = x.size
-    width = order + 3  # stencil size: two points beyond the order, ~2nd-order accurate
-    mat = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(0, i - width // 2), n - width)
-        sten = x[lo : lo + width]
-        gaps = np.diff(sten)
-        if gaps.max() / gaps.min() > max_gap_ratio:
-            raise GridTooCoarse(
-                f"stencil at node {i} spans gap ratio {gaps.max() / gaps.min():.1f} "
-                f"(limit {max_gap_ratio})"
-            )
-        mat[i, lo : lo + width] = _fornberg_weights(sten, x[i], order)[:, order]
-    _DERIV_CACHE[key] = mat
-    return mat
+def _derivative_amplitudes(grid, profile, order):
+    """sum_j wbar_j (1 + omega_j^2) |d^b p_k / d omega^b|^2 for b = 0..order.
+
+    Returns shape (order + 1, k_max): one row per derivative order.
+    """
+    profile = np.asarray(profile)
+    weight = grid.bare_weights * (1.0 + grid.nodes**2)
+    amps = [np.abs(profile) ** 2 @ weight]
+    for b in range(1, order + 1):
+        idx, W = _stencils(grid.nodes, b)
+        amps.append(np.abs((profile[:, idx] * W).sum(-1)) ** 2 @ weight)
+    return np.array(amps)
+
+
+def _norm_from_amplitudes(amps, order):
+    """||p||_{H^order} from the rows b = 0..order of ``_derivative_amplitudes``."""
+    k_squared = np.arange(1, amps.shape[1] + 1, dtype=float) ** 2
+    total = 0.0
+    for b in range(order + 1):
+        total += np.sum(sum(k_squared**a for a in range(order - b + 1)) * amps[b])
+    return math.sqrt(total / np.pi)
 
 
 def profile_sobolev_norm(grid, profile, order):
@@ -401,33 +411,21 @@ def profile_sobolev_norm(grid, profile, order):
     the exact discretization of the weighted norm for the stored convention
     p = (1/2pi) sum_k p_k e^{ik theta} with conjugate symmetry.
     """
-    profile = np.asarray(profile)
-    k_max = profile.shape[0]
-    k_values = np.arange(1, k_max + 1, dtype=float)
-    weight = grid.bare_weights * (1.0 + grid.nodes**2)
-    total = 0.0
-    for b in range(order + 1):
-        mat = _derivative_matrix(grid, b)
-        deriv = profile if mat is None else profile @ mat.T
-        amp = np.sum(weight[None, :] * np.abs(deriv) ** 2, axis=1)  # per k
-        for a in range(order - b + 1):
-            total += np.sum(k_values ** (2 * a) * amp)
-    return math.sqrt(total / np.pi)
+    return _norm_from_amplitudes(_derivative_amplitudes(grid, profile, order), order)
 
 
 def sobolev_diagnostics(state, order):
-    """The three bootstrap components at the current time.
+    """The two profile components of the bootstrap at the current time.
 
-    Returns ((1+t)^order |R|, ||p||_{H^order} / (1+t), ||p||_{H^{order-2}}).
+    Returns (||p||_{H^order} / (1+t), ||p||_{H^{order-2}}); the third,
+    (1+t)^order |R|, is ``SimResult.weighted_abs``.  Both norms share one set
+    of omega derivatives.
     """
     if order < 2:
         raise ValueError(f"diagnostics need order >= 2, got {order}")
-    profile = unwound_profile(state)
-    t = state.time
-    weighted = (1.0 + t) ** order * abs(order_parameter(state))
-    high = profile_sobolev_norm(state.grid, profile, order)
-    low = profile_sobolev_norm(state.grid, profile, order - 2)
-    return weighted, high / (1.0 + t), low
+    amps = _derivative_amplitudes(state.grid, unwound_profile(state), order)
+    high = _norm_from_amplitudes(amps, order)
+    return high / (1.0 + state.time), _norm_from_amplitudes(amps, order - 2)
 
 
 # ---------------------------------------------------------------------------

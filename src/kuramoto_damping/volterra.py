@@ -24,7 +24,6 @@ __all__ = [
     "DecayFit",
     "solve",
     "kuramoto_kernel",
-    "linear_input_from_initial_data",
     "mode_input_from_grid",
     "fit_decay",
     "empirical_stability_constant",
@@ -57,7 +56,6 @@ class VolterraSolution:
 
     times: np.ndarray
     values: np.ndarray
-    scheme_order: int = 2
 
     def weighted_sup(self, n, up_to=None):
         """max over the grid (restricted to t <= up_to) of (1+t)^n |R(t)|."""
@@ -108,13 +106,6 @@ def kuramoto_kernel(dist, coupling):
         return 0.5 * coupling * dist.fourier_transform(t)
 
     return kernel
-
-
-def linear_input_from_initial_data(p1hat0):
-    """Source term of the linearized equation: F(t) is the transform of the
-    initial first mode; the quadratic feedback term is dropped here by
-    construction (it lives in the nonlinear mode simulation)."""
-    return p1hat0
 
 
 def mode_input_from_grid(grid, profile):

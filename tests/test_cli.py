@@ -253,11 +253,64 @@ def test_zero_perturbation_comparison_shows_lattice_error_only(tmp_path):
     assert summary["supDifference"] <= 5.0 / 1024
 
 
-def test_thread_cap_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("KD_THREADS", "2")
+def test_thread_cap_env_var(tmp_path):
     cfg = _write_config(
         tmp_path, "c.json", {"parameter": "omega0", "values": [0.0, 1.0], "delta": 1.0}
     )
     assert main(["kc-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    monkeypatch.setenv("KD_THREADS", "not-a-number")
-    assert main(["kc-scan", "--config", cfg, "--out", str(tmp_path / "out2")]) == 2
+
+
+_VALID = {
+    "stability": lambda: {"distribution": TWO_BUMP, "coupling": 1.0},
+    "kc-scan": lambda: {"parameter": "delta", "values": [1.0]},
+    "linear": lambda: {
+        "distribution": {"family": "cauchy", "delta": 1.0},
+        "coupling": 1.0,
+        "input": {"type": "poly_decay"},
+        "dt": 0.05,
+        "horizon": 1.0,
+    },
+    "witness": lambda: {
+        "distribution": {"family": "cauchy", "delta": 1.0},
+        "coupling": 4.0,
+        "dt": 0.05,
+        "horizon": 1.0,
+    },
+    "nonlinear": lambda: dict(_nonlinear_config(horizon=0.1, snapshots=()), grid_nodes=64),
+    "finite-n": _finite_n_config,
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("stability", "boundary_points", True),
+        ("kc-scan", "values", [-1.0]),
+        ("linear", "horizon", 0.01),
+        ("linear", "weight_order", 2.5),
+        ("linear", "input", {"type": "mode", "profile": {"kind": "constant"}, "grid_nodes": 4}),
+        ("witness", "amplitude", 0.0),
+        ("witness", "amplitude", "abc"),
+        ("nonlinear", "k_max", 1),
+        ("nonlinear", "k_max", 2.7),
+        ("nonlinear", "grid_nodes", True),
+        ("nonlinear", "grid_nodes", 4),
+        ("nonlinear", "output_every", 0),
+        ("nonlinear", "weight_order", 1),
+        ("nonlinear", "dt", 1.0),
+        ("finite-n", "oscillators", 1),
+        ("finite-n", "oscillators", 2.7),
+        ("finite-n", "output_every", "10"),
+        ("finite-n", "sampling", "random"),
+        ("finite-n", "initial_perturbation",
+         {"modes": [{"mode": 1, "kind": "constant", "value": "abc"}]}),
+    ],
+)
+def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):
+    config = _VALID[experiment]()
+    config[key] = value
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err

@@ -100,7 +100,7 @@ def test_boundary_values_cross_check_and_symmetry():
     assert np.max(np.abs(bv.laplace - bv.hilbert)) <= 1e-6
     # symmetric unimodal density: D real at omega = 0
     mid = np.argmin(np.abs(bv.omegas))
-    assert abs(bv.values[mid].imag) <= 1e-10
+    assert abs(bv.laplace[mid].imag) <= 1e-10
 
 
 def test_boundary_real_part_at_origin_cauchy():
