@@ -236,7 +236,11 @@ def _linear_source(config, dist, context):
         if not path.exists():
             raise ConfigError(f"{context}: input CSV {path} does not exist")
         data = np.genfromtxt(path, delimiter=",", names=True)
+        if not all(np.all(np.isfinite(data[key])) for key in ("t", "ReF", "ImF")):
+            raise ConfigError(f"{context}: input CSV {path} holds a non-finite value")
         t_ref = data["t"]
+        if np.any(np.diff(t_ref) <= 0):
+            raise ConfigError(f"{context}: input CSV {path} needs strictly increasing t")
         f_ref = data["ReF"] + 1j * data["ImF"]
 
         def source(t):
@@ -421,6 +425,11 @@ def run_finite_n(config, outdir):
         state = finiten.sample_oscillators(
             dist, count, coupling, epsilon=epsilon, modes=modes, sampling=sampling, seed=seed
         )
+    cont = None
+    if "continuum_dir" in config:
+        # checked before simulating, so a mismatch leaves no artifacts
+        cont_cfg, cont = _load_run(config["continuum_dir"], "nonlinear", "R.csv", "finite-n")
+        _require_matching(cont_cfg, config, "finite-n: continuum run disagrees")
     times, orders = finiten.simulate(state, dt, horizon, output_every=output_every)
     _write_csv(
         outdir / "zn.csv",
@@ -433,18 +442,10 @@ def run_finite_n(config, outdir):
         ],
     )
     summary = {"oscillators": count}
-    if "continuum_dir" in config:
-        cont_cfg, cont = _load_run(config["continuum_dir"], "nonlinear", "R.csv", "finite-n")
-        for key in ("distribution", "coupling", "epsilon", "horizon"):
-            if cont_cfg.get(key) != config.get(key):
-                raise MismatchedConfigs(
-                    f"finite-n: continuum run disagrees on {key}: "
-                    f"{cont_cfg.get(key)!r} vs {config.get(key)!r}"
-                )
-        sup = _comparison_artifacts(
+    if cont is not None:
+        summary["supDifference"] = _comparison_artifacts(
             outdir, config, epsilon, times, orders, cont[:, 0], cont[:, 1] + 1j * cont[:, 2]
         )
-        summary["supDifference"] = sup
     return summary
 
 
@@ -462,6 +463,15 @@ def _load_run(run_dir, experiment, csv_name, context):
         )
     data = np.genfromtxt(series, delimiter=",", skip_header=1)
     return meta["config"], data
+
+
+def _require_matching(first, second, message):
+    """Raise MismatchedConfigs unless two run configs share the compared keys."""
+    for key in ("distribution", "coupling", "epsilon", "horizon"):
+        if first.get(key) != second.get(key):
+            raise MismatchedConfigs(
+                f"{message} on {key}: {first.get(key)!r} vs {second.get(key)!r}"
+            )
 
 
 def _comparison_artifacts(outdir, config, epsilon, t_fin, z, t_cont, r):
@@ -494,12 +504,7 @@ def run_compare(config, outdir):
     require_keys(config, {"continuum_dir", "finite_n_dir"}, set(), "compare")
     cont_cfg, cont = _load_run(config["continuum_dir"], "nonlinear", "R.csv", "compare")
     fin_cfg, fin = _load_run(config["finite_n_dir"], "finite-n", "zn.csv", "compare")
-
-    for key in ("distribution", "coupling", "epsilon", "horizon"):
-        if cont_cfg.get(key) != fin_cfg.get(key):
-            raise MismatchedConfigs(
-                f"compare: runs disagree on {key}: {cont_cfg.get(key)!r} vs {fin_cfg.get(key)!r}"
-            )
+    _require_matching(cont_cfg, fin_cfg, "compare: runs disagree")
 
     sup = _comparison_artifacts(
         outdir,

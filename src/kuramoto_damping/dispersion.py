@@ -60,6 +60,13 @@ _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 #: |D| below this value on the real axis is treated as a marginal case.
 MARGINAL_ABS_TOL = 1e-6
+CROSS_CHECK_TOL = 1e-6  # largest gap between the Laplace and boundary-form routes
+_PV_CORE = 1e-4  # below this s the principal-value integrand is its Taylor core
+# Winding contour: initial samples, refinement budget, chord / |D| ceiling.
+_WINDING_POINTS, _WINDING_MAX_POINTS, _WINDING_CHORD = 1025, 400_000, 0.05
+_SCAN_POINTS = 4001  # samples of Im L on the real axis when bracketing its zeros
+# Newton on D: residual tolerance, iteration cap, central-difference step.
+_ROOT_TOL, _NEWTON_MAX_ITER, _DIFF_STEP = 1e-10, 100, 1e-6
 
 
 def _check_lower_half(omega):
@@ -89,17 +96,14 @@ def laplace_transform(dist, omega):
     return total if total.ndim else complex(total)
 
 
-def laplace_transform_quadrature(dist, omega, horizon=None, tail_tol=1e-13):
-    """Independent evaluation of L(w) by composite panels in t.
+def laplace_transform_quadrature(dist, omega, horizon):
+    """Independent evaluation of L(w) by composite panels in t up to ``horizon``.
 
     Panels are sized so the total phase per panel stays within the resolving
-    power of 16-point Gauss-Legendre; the truncation horizon comes from the
-    family's exponential envelope with an explicit tail bound.
+    power of 16-point Gauss-Legendre.
     """
     _check_lower_half(omega)
     omega = complex(omega)
-    if horizon is None:
-        horizon = _envelope_horizon(dist, tail_tol)
     loc, _, halfspan = dist.location_hints()
     phase_rate = abs(omega.real) + abs(loc) + halfspan + 1.0
     panels = int(min(8192, max(16, math.ceil(horizon * phase_rate / 6.0))))
@@ -119,19 +123,19 @@ def _envelope_horizon(dist, tail_tol):
     return t
 
 
-def hilbert_boundary_transform(dist, omega, sigma_core=1e-4):
+def hilbert_boundary_transform(dist, omega):
     """Boundary value of L at real ``omega`` via the principal-value form.
 
     L(w) = pi g(-w) - i * pv int g(v)/(v + w) dv, with the principal value
     written as int_0^inf (g(s - w) - g(-s - w))/s ds.  The s -> 0 limit is
-    replaced below ``sigma_core`` by its Taylor expansion 2 g'(-w) s, removing
+    replaced below ``_PV_CORE`` by its Taylor expansion 2 g'(-w) s, removing
     the 0/0 numerically.
     """
     omega = float(omega)
     g = dist.density
     # Core: integrand -> 2 g'(-w) + s^2 g'''(-w)/3 + ...
-    core = 2.0 * dist.density_derivative(-omega, 1) * sigma_core
-    core += dist.density_derivative(-omega, 3) * sigma_core**3 / 9.0
+    core = 2.0 * dist.density_derivative(-omega, 1) * _PV_CORE
+    core += dist.density_derivative(-omega, 3) * _PV_CORE**3 / 9.0
 
     # Feature locations of g(±s - w) in the s variable.
     features = set()
@@ -143,12 +147,12 @@ def hilbert_boundary_transform(dist, omega, sigma_core=1e-4):
             features.add(base + k * width)
 
     s_max = _pv_upper_limit(dist, omega)
-    breaks = sorted({sigma_core, s_max} | {f for f in features if sigma_core < f < s_max})
+    breaks = sorted({_PV_CORE, s_max} | {f for f in features if _PV_CORE < f < s_max})
     # Geometric ladder keeps long featureless stretches well-conditioned.
-    ladder = sigma_core
+    ladder = _PV_CORE
     while ladder < s_max:
         ladder *= 4.0
-        if sigma_core < ladder < s_max:
+        if _PV_CORE < ladder < s_max:
             breaks.append(ladder)
     breaks = np.array(sorted(set(breaks)))
 
@@ -181,15 +185,14 @@ class DispersionRelation:
 
     dist: object
     coupling: float
-    laplace_horizon: float = field(default=None)
+    laplace_horizon: float = field(init=False)
 
     def __post_init__(self):
         if self.coupling < 0:
             raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
-        if self.laplace_horizon is None:
-            # (K/2) * envelope tail below 1e-12 at the horizon.
-            bound = 1e-12 / max(self.coupling / 2.0, 1e-6)
-            object.__setattr__(self, "laplace_horizon", _envelope_horizon(self.dist, bound))
+        # (K/2) * envelope tail below 1e-12 at the horizon.
+        bound = 1e-12 / max(self.coupling / 2.0, 1e-6)
+        object.__setattr__(self, "laplace_horizon", _envelope_horizon(self.dist, bound))
 
     def evaluate(self, omega):
         """D(w) for Im(w) <= 0, closed form."""
@@ -197,7 +200,7 @@ class DispersionRelation:
 
     def evaluate_quadrature(self, omega):
         """D(w) via the truncated Laplace integral (independent route)."""
-        val = laplace_transform_quadrature(self.dist, omega, horizon=self.laplace_horizon)
+        val = laplace_transform_quadrature(self.dist, omega, self.laplace_horizon)
         return 1.0 - 0.5 * self.coupling * val
 
     def evaluate_boundary(self, omega):
@@ -214,11 +217,11 @@ class BoundaryValues:
     hilbert: np.ndarray
 
 
-def boundary_values(relation, omega_grid, cross_check_tol=1e-6):
+def boundary_values(relation, omega_grid):
     """Evaluate D on a sorted real grid by quadrature and by the boundary form.
 
     Raises CrossCheckFailure when the two routes disagree beyond
-    ``cross_check_tol`` - that signals a quadrature misconfiguration, not a
+    ``CROSS_CHECK_TOL`` - that signals a quadrature misconfiguration, not a
     property of the distribution.
     """
     omegas = np.asarray(omega_grid, dtype=float)
@@ -227,10 +230,10 @@ def boundary_values(relation, omega_grid, cross_check_tol=1e-6):
     laplace = np.array([relation.evaluate_quadrature(w) for w in omegas])
     hilbert = np.array([relation.evaluate_boundary(w) for w in omegas])
     worst = float(np.max(np.abs(laplace - hilbert))) if omegas.size else 0.0
-    if worst > cross_check_tol:
+    if worst > CROSS_CHECK_TOL:
         raise CrossCheckFailure(
             f"Laplace and boundary evaluations disagree by {worst:.3e} "
-            f"(tolerance {cross_check_tol:.1e})"
+            f"(tolerance {CROSS_CHECK_TOL:.1e})"
         )
     return BoundaryValues(omegas=omegas, laplace=laplace, hilbert=hilbert)
 
@@ -239,19 +242,7 @@ def boundary_values(relation, omega_grid, cross_check_tol=1e-6):
 # Winding number
 
 
-def _default_omega_span(relation):
-    loc, scale, halfspan = relation.dist.location_hints()
-    # |D - 1| <= (K/2)/|w - span| for Cauchy tails: keep closure arcs small.
-    return abs(loc) + halfspan + 20.0 * scale + 100.0 * max(relation.coupling, 1.0)
-
-
-def winding_number(
-    relation,
-    omega_max=None,
-    initial_points=1025,
-    max_points=400_000,
-    chord_factor=0.05,
-):
+def winding_number(relation):
     """Index of the origin with respect to the closed curve {D(w) : w real}.
 
     The real line is sampled adaptively until consecutive argument jumps stay
@@ -259,27 +250,22 @@ def winding_number(
     closed through D(+-inf) = 1.  Raises MarginalError when the curve passes
     too close to the origin to count robustly (criterion boundary).
     """
-    return _winding_details(relation, omega_max, initial_points, max_points, chord_factor)[0]
+    return _winding_details(relation)[0]
 
 
-def _winding_details(
-    relation,
-    omega_max=None,
-    initial_points=1025,
-    max_points=400_000,
-    chord_factor=0.05,
-):
-    if omega_max is None:
-        omega_max = _default_omega_span(relation)
-
-    xs = list(np.linspace(-omega_max, omega_max, initial_points))
+def _winding_details(relation):
+    """(winding number, contour points, min |D| on the contour)."""
+    loc, scale, halfspan = relation.dist.location_hints()
+    # |D - 1| <= (K/2)/|w - span| for Cauchy tails: keep closure arcs small.
+    omega_max = abs(loc) + halfspan + 20.0 * scale + 100.0 * max(relation.coupling, 1.0)
+    xs = list(np.linspace(-omega_max, omega_max, _WINDING_POINTS))
     ds = list(relation.evaluate(np.array(xs)))
     total_points = len(xs)
 
     def ok(d0, d1):
         jump = abs(cmath.phase(d1 / d0)) if d0 != 0 and d1 != 0 else np.inf
         chord = abs(d1 - d0)
-        return jump < 0.5 * np.pi and chord <= chord_factor * min(abs(d0), abs(d1))
+        return jump < 0.5 * np.pi and chord <= _WINDING_CHORD * min(abs(d0), abs(d1))
 
     # Midpoint refinement with an explicit work queue; floors on interval
     # width catch curves that genuinely pass through the origin.
@@ -293,7 +279,7 @@ def _winding_details(
                 hit_floor = True
             out_d.append(d1)
             continue
-        if total_points >= max_points:
+        if total_points >= _WINDING_MAX_POINTS:
             raise MarginalError(
                 "winding-number refinement budget exhausted; curve is marginal",
                 min_abs=float(np.min(np.abs(ds))),
@@ -337,11 +323,11 @@ def _winding_details(
 # Boundary criterion and critical coupling
 
 
-def _boundary_imag_zeros(dist, scan_points=4001):
-    """Real zeros of Im L (equivalently of Im D for any K > 0)."""
+def _boundary_imag_zeros(dist):
+    """Sorted real zeros of Im L (equivalently of Im D for any K > 0)."""
     loc, scale, halfspan = dist.location_hints()
     span = halfspan + 12.0 * scale
-    xs = np.linspace(loc - span, loc + span, scan_points)
+    xs = np.linspace(loc - span, loc + span, _SCAN_POINTS)
     im = np.imag(laplace_transform(dist, xs))
     zeros = []
     for i in range(xs.size - 1):
@@ -377,12 +363,15 @@ def critical_coupling(dist):
     returns (K_c, critical frequencies) with K_c = min 2 / Re L(w*).  By the
     affine structure D = 1 - (K/2) L this is exactly where D first touches 0.
     """
-    zeros = _boundary_imag_zeros(dist)
+    return _critical(dist, _boundary_imag_zeros(dist))
+
+
+def _critical(dist, zeros):
+    """(K_c, critical frequencies) from the sorted real zeros of Im L."""
     re_vals = np.array([float(np.real(laplace_transform(dist, z))) for z in zeros])
     candidates = 2.0 / re_vals
     kc = float(np.min(candidates))
-    crit = [z for z, c in zip(zeros, candidates) if c <= kc * (1.0 + 1e-9)]
-    return kc, sorted(crit)
+    return kc, [z for z, c in zip(zeros, candidates) if c <= kc * (1.0 + 1e-9)]
 
 
 def l1_sufficient_check(relation):
@@ -394,11 +383,7 @@ def l1_sufficient_check(relation):
 # Unstable roots
 
 
-def _complex_derivative(func, z, step=1e-6):
-    return (func(z + step) - func(z - step)) / (2.0 * step)
-
-
-def find_unstable_root(relation, tol=1e-10, max_iter=100):
+def find_unstable_root(relation):
     """A zero of D in the open lower half plane, or None when winding is 0.
 
     Damped Newton iteration on D with a numeric derivative (central
@@ -411,10 +396,12 @@ def find_unstable_root(relation, tol=1e-10, max_iter=100):
         w = 1  # marginal curves sit at the edge; still attempt a root search
     if w == 0:
         return None
+    return _newton_root(relation, *critical_coupling(relation.dist))
 
-    dist = relation.dist
-    _, scale, _ = dist.location_hints()
-    kc, crit = critical_coupling(dist)
+
+def _newton_root(relation, kc, crit):
+    """Damped Newton for a zero of D seeded below ``crit``; RootNotConverged if none."""
+    _, scale, _ = relation.dist.location_hints()
     margin = max(relation.coupling / kc - 1.0, 1e-3)
     seeds = []
     for w_star in crit:
@@ -433,11 +420,13 @@ def find_unstable_root(relation, tol=1e-10, max_iter=100):
         z = seed
         val, z = eval_lower(z)
         converged = False
-        for _ in range(max_iter):
-            if abs(val) <= tol:
+        for _ in range(_NEWTON_MAX_ITER):
+            if abs(val) <= _ROOT_TOL:
                 converged = True
                 break
-            deriv = _complex_derivative(relation.evaluate, complex(z.real, min(z.imag, -1e-9)))
+            below = complex(z.real, min(z.imag, -1e-9))
+            rise = relation.evaluate(below + _DIFF_STEP) - relation.evaluate(below - _DIFF_STEP)
+            deriv = rise / (2.0 * _DIFF_STEP)
             if deriv == 0:
                 break
             step = val / deriv
@@ -451,7 +440,7 @@ def find_unstable_root(relation, tol=1e-10, max_iter=100):
                 lam *= 0.5
             else:
                 break
-        if converged and z.imag < 0 and abs(relation.evaluate(z)) <= tol:
+        if converged and z.imag < 0 and abs(relation.evaluate(z)) <= _ROOT_TOL:
             return z
     raise RootNotConverged(
         f"no unstable root converged from {len(seeds)} seeds at coupling {relation.coupling}"
@@ -489,11 +478,14 @@ class StabilityReport:
 
 
 def analyze_stability(dist, coupling, boundary_points=2001):
-    """Classify linear stability of the incoherent state at one coupling."""
-    relation = DispersionRelation(dist, coupling)
-    kc, crit = critical_coupling(dist)
+    """Classify linear stability of the incoherent state at one coupling.
 
+    One scan of the real zeros of Im L gives the boundary zeros and K_c; the
+    contour is wound once; the root search is seeded from that K_c.
+    """
+    relation = DispersionRelation(dist, coupling)
     zeros = _boundary_imag_zeros(dist)
+    kc, crit = _critical(dist, zeros)
     boundary = []
     for z in zeros:
         d = relation.evaluate(z)
@@ -502,9 +494,8 @@ def analyze_stability(dist, coupling, boundary_points=2001):
     loc, scale, halfspan = dist.location_hints()
     span = halfspan + 12.0 * scale
     grid = np.linspace(loc - span, loc + span, boundary_points)
-    dvals = relation.evaluate(grid)
+    dvals = np.append(relation.evaluate(grid), [complex(re, im) for (_, re, im) in boundary])
     min_abs = float(np.min(np.abs(dvals)))
-    min_abs = min(min_abs, min(abs(complex(re, im)) for (_, re, im) in boundary) if boundary else min_abs)
 
     marginal = False
     contour_points = 0
@@ -513,12 +504,12 @@ def analyze_stability(dist, coupling, boundary_points=2001):
     except MarginalError as exc:
         marginal = True
         wind = 0 if coupling < kc else 1
-        min_abs = min(min_abs, exc.min_abs if exc.min_abs is not None else min_abs)
+        min_abs = min(min_abs, exc.min_abs)
 
     roots = []
     if not marginal and wind > 0:
         try:
-            roots.append(find_unstable_root(relation))
+            roots.append(_newton_root(relation, kc, crit))
         except RootNotConverged:
             pass
 

@@ -76,12 +76,8 @@ class FrequencyDistribution:
     def inverse_cdf(self, p):
         raise NotImplementedError
 
-    def fourier_envelope(self, t):
-        """Pointwise upper bound for |ghat(t)| that decays exponentially."""
-        raise NotImplementedError
-
     def fourier_tail_integral(self, t0):
-        """Exact value or upper bound for int_{t0}^inf envelope(t) dt."""
+        """Upper bound for int_{t0}^inf |ghat(t)| dt (exact for one component)."""
         raise NotImplementedError
 
     def location_hints(self):
@@ -154,9 +150,6 @@ class Cauchy(FrequencyDistribution):
         p = np.asarray(p, dtype=float)
         return self.center + self.half_width * np.tan(np.pi * (p - 0.5))
 
-    def fourier_envelope(self, t):
-        return np.exp(-self.half_width * np.asarray(t, dtype=float))
-
     def fourier_tail_integral(self, t0):
         return math.exp(-self.half_width * t0) / self.half_width
 
@@ -211,9 +204,6 @@ class Gaussian(FrequencyDistribution):
     def inverse_cdf(self, p):
         p = np.asarray(p, dtype=float)
         return self.center + self.std_dev * special.ndtri(p)
-
-    def fourier_envelope(self, t):
-        return np.exp(-0.5 * (self.std_dev * np.asarray(t, dtype=float)) ** 2)
 
     def fourier_tail_integral(self, t0):
         a = self.std_dev / math.sqrt(2.0)
@@ -272,9 +262,6 @@ class Mixture(FrequencyDistribution):
         if hi - lo < 1e-300:
             return lo
         return optimize.brentq(lambda w: self.cdf(w) - p, lo, hi, xtol=1e-13, rtol=1e-15)
-
-    def fourier_envelope(self, t):
-        return sum(w * c.fourier_envelope(t) for w, c in zip(self.weights, self.components))
 
     def fourier_tail_integral(self, t0):
         return sum(w * c.fourier_tail_integral(t0) for w, c in zip(self.weights, self.components))
@@ -409,9 +396,6 @@ class QuadratureGrid:
 
     @property
     def node_count(self):
-        return self.nodes.size
-
-    def __len__(self):
         return self.nodes.size
 
 

@@ -69,7 +69,9 @@ class InvalidPerturbation(KuramotoDampingError):
 
 
 class BlowupDetected(KuramotoDampingError):
-    """Simulation coefficients exceeded the blowup guard."""
+    """A computed quantity blew up: simulation coefficients exceeded the
+    blowup guard, or a kernel or source sampled for a Volterra solve was not
+    finite (overflow)."""
 
 
 class GridTooCoarse(KuramotoDampingError):

@@ -52,14 +52,14 @@ class FiniteNState:
         return self.phases.size
 
 
-def _van_der_corput(count, base=2):
-    """Low-discrepancy points in (0, 1): radical-inverse sequence."""
+def _van_der_corput(count):
+    """Low-discrepancy points in (0, 1): base-2 radical-inverse sequence."""
     out = np.zeros(count)
     for i in range(count):
         n, denom, x = i + 1, 1.0, 0.0
         while n:
-            n, rem = divmod(n, base)
-            denom *= base
+            n, rem = divmod(n, 2)
+            denom *= 2
             x += rem / denom
         out[i] = x
     return out

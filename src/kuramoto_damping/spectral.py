@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e6
+_THETA_SAMPLES = 256  # uniform theta samples that transform a direct perturbation r0
+_REPORT_ORDER = 4  # order of the weighted Sobolev norm recorded for the initial state
+_MAX_GAP_RATIO = 10.0  # largest ratio of gaps inside one omega stencil
 
 
 @dataclass
@@ -64,30 +67,8 @@ class SpectralState:
     dist: object
     initial_weighted_norm: float = field(default=float("nan"))
 
-    def copy(self):
-        return SpectralState(
-            k_max=self.k_max,
-            grid=self.grid,
-            coeffs=self.coeffs.copy(),
-            time=self.time,
-            epsilon=self.epsilon,
-            coupling=self.coupling,
-            dist=self.dist,
-            initial_weighted_norm=self.initial_weighted_norm,
-        )
 
-
-def initialize(
-    dist,
-    grid,
-    k_max,
-    epsilon,
-    coupling,
-    modes=None,
-    r0=None,
-    theta_samples=256,
-    report_order=4,
-):
+def initialize(dist, grid, k_max, epsilon, coupling, modes=None, r0=None):
     """Build the initial state from mode profiles or a direct perturbation.
 
     ``modes`` maps k >= 1 to a callable h_k(omega) with c_k(0, omega) = h_k;
@@ -114,9 +95,9 @@ def initialize(
                 raise ValueError(f"mode {k} outside 1..{k_max}")
             coeffs[k - 1] = np.asarray(profile(nodes), dtype=complex)
     else:
-        theta = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * np.pi, _THETA_SAMPLES, endpoint=False)
         samples = np.array([r0(th, nodes) for th in theta])  # (theta, J)
-        spectrum = np.fft.fft(samples, axis=0) * (2.0 * np.pi / theta_samples)
+        spectrum = np.fft.fft(samples, axis=0) * (2.0 * np.pi / _THETA_SAMPLES)
         mean_mode = np.max(np.abs(spectrum[0]))
         if mean_mode > 1e-10:
             raise InvalidPerturbation(
@@ -150,7 +131,7 @@ def initialize(
 
     try:
         state.initial_weighted_norm = profile_sobolev_norm(
-            grid, coeffs * dist.density(nodes)[None, :], report_order
+            grid, coeffs * dist.density(nodes)[None, :], _REPORT_ORDER
         )
     except GridTooCoarse:
         # the norm is a report, not a gate; heavy-tail grids may be too
@@ -250,7 +231,6 @@ class SimResult:
     recurrence_time: float
     weight_order: int
     grid: object
-    final_state: SpectralState
 
 
 def run(
@@ -310,7 +290,6 @@ def run(
         recurrence_time=recurrence_horizon(state.grid),
         weight_order=weight_order,
         grid=state.grid,
-        final_state=state,
     )
 
 
@@ -356,7 +335,7 @@ def _fornberg_weights(x, x0, max_order):
     return c
 
 
-def _stencils(nodes, order, max_gap_ratio=10.0):
+def _stencils(nodes, order):
     """Banded finite-difference stencils for d^order/domega^order on the nodes.
 
     Returns (idx, W), both of shape (J, order + 3): row i of the derivative is
@@ -371,11 +350,11 @@ def _stencils(nodes, order, max_gap_ratio=10.0):
     sten = nodes[idx]
     gaps = np.diff(sten, axis=1)
     ratio = gaps.max(axis=1) / gaps.min(axis=1)
-    coarse = np.flatnonzero(ratio > max_gap_ratio)
+    coarse = np.flatnonzero(ratio > _MAX_GAP_RATIO)
     if coarse.size:
         i = coarse[0]
         raise GridTooCoarse(
-            f"stencil at node {i} spans gap ratio {ratio[i]:.1f} (limit {max_gap_ratio})"
+            f"stencil at node {i} spans gap ratio {ratio[i]:.1f} (limit {_MAX_GAP_RATIO})"
         )
     return idx, _fornberg_weights(sten, nodes, order)[:, :, order]
 
@@ -440,14 +419,13 @@ class ScatteringReport:
     pairwise_norms: list  # ||p(t_i) - p(t_{i+1})||_{H^{order-2}} for consecutive pairs
     converged: bool
     verdict: str  # "Converged" | "NotConverged"
-    final_profile: np.ndarray
 
 
 def scattering_profile(result, order=4):
     """Cauchy-sequence check on the unwound profile across late snapshots.
 
-    The final snapshot estimates the free-transport limit profile; the verdict
-    is Converged when consecutive pairwise norms decrease monotonically.
+    The verdict is Converged when consecutive pairwise norms decrease
+    monotonically, i.e. the snapshots approach a free-transport limit profile.
     """
     if len(result.snapshots) < 3:
         raise ValueError("scattering check needs at least 3 snapshots")
@@ -462,7 +440,6 @@ def scattering_profile(result, order=4):
         pairwise_norms=[float(v) for v in pair_norms],
         converged=converged,
         verdict="Converged" if converged else "NotConverged",
-        final_profile=result.snapshots[times[-1]],
     )
 
 

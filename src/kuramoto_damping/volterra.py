@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import DispersionRelation, find_unstable_root
-from .exceptions import RootNotConverged, StepSolveFailure, UnstableKernel, WindowTooNoisy
+from .exceptions import (
+    BlowupDetected, RootNotConverged, StepSolveFailure, UnstableKernel, WindowTooNoisy
+)
 
 __all__ = [
     "VolterraProblem",
@@ -32,6 +34,9 @@ __all__ = [
 ]
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_SOURCE_BLOCK = 512  # rows of the mode-source phase matrix built at once
+# fit_decay leaves out |R| <= _NOISE_FLOOR and accepts RMS residuals up to _RESIDUAL_TOL.
+_NOISE_FLOOR, _RESIDUAL_TOL = 1e-14, 0.5
 
 
 @dataclass
@@ -64,9 +69,10 @@ class VolterraSolution:
 
 
 def _sample(func, times):
+    """Values of a vectorised callable on ``times``; any other shape is an error."""
     out = np.asarray(func(times), dtype=complex)
     if out.shape != times.shape:
-        out = np.array([func(t) for t in times], dtype=complex)
+        raise ValueError(f"callable must be vectorised: shape {out.shape} for times {times.shape}")
     return out
 
 
@@ -74,6 +80,9 @@ def solve(problem):
     """March the product-trapezoidal scheme over the grid.
 
     R_j = [F_j + dt (G_j R_0 / 2 + sum_{0<i<j} G_{j-i} R_i)] / (1 - dt G_0 / 2)
+
+    Raises BlowupDetected when the kernel or the source is not finite on the
+    grid (for instance a growing source that overflows).
     """
     dt = problem.time_step
     steps = int(round(problem.horizon / dt))
@@ -81,7 +90,7 @@ def solve(problem):
     G = _sample(problem.kernel, times)
     F = _sample(problem.source, times)
     if not (np.all(np.isfinite(G.view(float))) and np.all(np.isfinite(F.view(float)))):
-        raise ValueError("kernel or source not finite on the grid")
+        raise BlowupDetected("kernel or source not finite on the grid")
 
     denom = 1.0 - 0.5 * dt * G[0]
     if abs(denom) < 1e-12:
@@ -112,14 +121,25 @@ def mode_input_from_grid(grid, profile):
     """Discrete transform of an initial first-mode profile h(omega).
 
     Returns F with F(t) = sum_j w_j h(omega_j) exp(-i t omega_j), the exact
-    source seen by the mode simulation on the same grid.
+    source seen by the mode simulation on the same grid.  The phase matrix is
+    built ``_SOURCE_BLOCK`` times at a time, so memory stays bounded however
+    many times are asked for.
     """
     amps = grid.weights * np.asarray(profile(grid.nodes), dtype=complex)
+    rates = -1j * grid.nodes
+
+    def block(times):
+        # one phase matrix, freed on return before the next block is built
+        phases = np.multiply.outer(times, rates)
+        return np.exp(phases, out=phases) @ amps
 
     def source(t):
         t = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * np.multiply.outer(t, grid.nodes))
-        return phases @ amps
+        flat = t.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        for lo in range(0, flat.size, _SOURCE_BLOCK):
+            out[lo : lo + _SOURCE_BLOCK] = block(flat[lo : lo + _SOURCE_BLOCK])
+        return out.reshape(t.shape)
 
     return source
 
@@ -134,19 +154,19 @@ class DecayFit:
     residual: float  # RMS of log-log residuals; never hidden
 
 
-def fit_decay(solution, window=None, noise_floor=1e-14, residual_tol=0.5):
+def fit_decay(solution, window=None):
     """Fit |R(t)| ~ A (1+t)^(-p) on ``window`` by log-log least squares.
 
     The regressor log(1+t) matches the weighted-sup convention, so a synthetic
     (1+t)^(-p) recovers p exactly.  Raises WindowTooNoisy (carrying the fit)
-    when the RMS log-log residual exceeds ``residual_tol``, the contract for
+    when the RMS log-log residual exceeds ``_RESIDUAL_TOL``, the contract for
     non-power-law decay.
     """
     if window is None:
         window = (0.25 * solution.times[-1], 0.9 * solution.times[-1])
     t_a, t_b = window
     mask = (solution.times >= t_a) & (solution.times <= t_b) & (solution.times > 0)
-    mask &= np.abs(solution.values) > noise_floor
+    mask &= np.abs(solution.values) > _NOISE_FLOOR
     if mask.sum() < 4:
         raise WindowTooNoisy(f"fewer than 4 usable samples in window {window}", fit=None)
     logt = np.log1p(solution.times[mask])
@@ -159,9 +179,9 @@ def fit_decay(solution, window=None, noise_floor=1e-14, residual_tol=0.5):
         window=(float(t_a), float(t_b)),
         residual=float(np.sqrt(np.mean(resid**2))),
     )
-    if fit.residual > residual_tol:
+    if fit.residual > _RESIDUAL_TOL:
         raise WindowTooNoisy(
-            f"log-log residual {fit.residual:.3f} exceeds {residual_tol}", fit=fit
+            f"log-log residual {fit.residual:.3f} exceeds {_RESIDUAL_TOL}", fit=fit
         )
     return fit
 

@@ -188,7 +188,7 @@ def test_nonlinear_run_artifacts(tmp_path):
     assert scattering["config"]["epsilon"] == 0.01
 
 
-def test_compare_runs_and_mismatch(tmp_path):
+def test_compare_runs_and_mismatch(tmp_path, capsys):
     nl_cfg = _write_config(tmp_path, "nl.json", _nonlinear_config())
     fn_cfg = _write_config(tmp_path, "fn.json", _finite_n_config())
     out_nl, out_fn = tmp_path / "nl", tmp_path / "fn"
@@ -215,10 +215,13 @@ def test_compare_runs_and_mismatch(tmp_path):
     cmp2_cfg = _write_config(
         tmp_path, "cmp2.json", {"continuum_dir": str(out_nl), "finite_n_dir": str(out_fn2)}
     )
+    capsys.readouterr()
     assert main(["compare", "--config", cmp2_cfg, "--out", str(tmp_path / "cmp2")]) == 2
+    assert "disagree on coupling" in capsys.readouterr().err
+    assert not (tmp_path / "cmp2").exists()
 
 
-def test_finite_n_with_continuum_reference_emits_comparison(tmp_path):
+def test_finite_n_with_continuum_reference_emits_comparison(tmp_path, capsys):
     nl_cfg = _write_config(tmp_path, "nl.json", _nonlinear_config())
     out_nl = tmp_path / "nl"
     assert main(["nonlinear", "--config", nl_cfg, "--out", str(out_nl)]) == 0
@@ -230,6 +233,14 @@ def test_finite_n_with_continuum_reference_emits_comparison(tmp_path):
     assert (out_fn / "comparison.csv").exists()
     summary = json.loads((out_fn / "summary.json").read_text())
     assert summary["supDifference"] <= 5e-3
+
+    # a continuum run with another horizon is rejected before anything is written
+    fn["horizon"] = 3.0
+    bad_cfg = _write_config(tmp_path, "bad.json", fn)
+    capsys.readouterr()
+    assert main(["finite-n", "--config", bad_cfg, "--out", str(tmp_path / "bad")]) == 2
+    assert "disagrees on horizon" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_zero_perturbation_comparison_shows_lattice_error_only(tmp_path):
@@ -314,3 +325,35 @@ def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, exper
     assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+def _csv_input(tmp_path, rows):
+    path = tmp_path / "F.csv"
+    path.write_text("t,ReF,ImF\n" + "".join(f"{t},{re},{im}\n" for t, re, im in rows))
+    return {"input": {"type": "csv", "path": str(path)}}
+
+
+@pytest.mark.parametrize(
+    "experiment, change, code",
+    [
+        # csv input must be finite and strictly increasing in t: a config error
+        ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (0.5, "nan", 0), (1, 0.5, 0)]), 2),
+        ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (0.5, 0.7, "inf"), (1, 0.5, 0)]), 2),
+        ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (1, 0.7, 0), (0.5, 0.5, 0)]), 2),
+        ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (0.5, 0.7, 0), (0.5, 0.5, 0)]), 2),
+        # exp(t) of the witness source overflows long before t = 800: numeric failure
+        ("witness", lambda tmp: {"dt": 0.5, "horizon": 800.0}, 3),
+    ],
+    ids=["nan-ReF", "inf-ImF", "decreasing-t", "repeated-t", "witness-overflow"],
+)
+def test_non_finite_or_disordered_input_exit_code(tmp_path, capsys, experiment, change, code):
+    config = dict(_VALID[experiment](), **change(tmp_path))
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == code
+    if code == 2:
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+    else:
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        assert json.loads((out / "error.json").read_text())["error"] == "BlowupDetected"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kuramoto_damping import dispersion
 from kuramoto_damping.dispersion import (
     DispersionRelation,
     analyze_stability,
@@ -309,6 +310,33 @@ def test_report_verdict_consistency():
         "criticalFrequencies",
         "diagnostics",
     }
+
+
+def test_report_scans_zeros_and_winds_once(monkeypatch):
+    calls = {"_boundary_imag_zeros": 0, "_winding_details": 0}
+
+    def counted(name):
+        original = getattr(dispersion, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(dispersion, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    rep = analyze_stability(Cauchy(1.0), 2.6)
+    assert rep.verdict == "Unstable" and len(rep.unstable_roots) == 1
+    assert calls == {"_boundary_imag_zeros": 1, "_winding_details": 1}
+
+
+@pytest.mark.parametrize("dist", TEST_DISTS)
+def test_report_root_equals_find_unstable_root(dist):
+    kc, _ = critical_coupling(dist)
+    rep = analyze_stability(dist, 1.3 * kc)
+    assert rep.critical_coupling == kc
+    assert rep.unstable_roots == [find_unstable_root(DispersionRelation(dist, 1.3 * kc))]
 
 
 def test_report_marginal_at_threshold():

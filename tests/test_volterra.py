@@ -1,5 +1,7 @@
 """Tests for the memory-kernel solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,30 @@ def test_mode_input_matches_two_dimensional_quadrature():
 
     # t = 0 recovers the initial order parameter sum w_j h(omega_j)
     assert source(0.0) == pytest.approx(np.sum(grid.weights * profile(grid.nodes)), abs=1e-12)
+
+
+def test_mode_input_matches_one_matrix_formula_in_bounded_memory():
+    # 4001 times x 2048 nodes: one complex phase matrix would take 131 MB
+    grid = build_grid(Cauchy(1.0), 2048)
+    amps = grid.weights * np.exp(-0.5 * grid.nodes**2)
+    t = 1e-3 * np.arange(4001)
+    source = mode_input_from_grid(grid, lambda w: np.exp(-0.5 * np.asarray(w) ** 2) + 0j)
+
+    tracemalloc.start()
+    try:
+        values = source(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    full_matrix = t.size * grid.nodes.size * np.dtype(complex).itemsize
+    assert peak < full_matrix / 4
+    assert np.array_equal(values, np.exp(-1j * np.multiply.outer(t, grid.nodes)) @ (amps + 0j))
+
+
+def test_solve_rejects_non_vectorised_source():
+    with pytest.raises(ValueError, match="vectorised"):
+        solve(VolterraProblem(_zeros, lambda t: 1.0 + 0j, 0.1, 1.0))
 
 
 # ---------------------------------------------------------------------------
