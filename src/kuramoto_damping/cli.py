@@ -65,12 +65,12 @@ def _nonnegative(obj, key, context):
 
 @contextlib.contextmanager
 def _constructing(context):
-    """Report a library ValueError raised while a problem is built as a config error."""
+    """Report a ValueError or TypeError raised while a problem is built as a config error."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -241,6 +241,10 @@ def _linear_source(config, dist, context):
         t_ref = data["t"]
         if np.any(np.diff(t_ref) <= 0):
             raise ConfigError(f"{context}: input CSV {path} needs strictly increasing t")
+        # np.interp would hold F at its end values outside the csv's t range
+        end = float(config["dt"]) * round(float(config["horizon"]) / float(config["dt"]))
+        if t_ref.size == 0 or t_ref[0] > 0 or t_ref[-1] < end:
+            raise ConfigError(f"{context}: input CSV {path} must cover t in [0, {end}]")
         f_ref = data["ReF"] + 1j * data["ImF"]
 
         def source(t):
@@ -249,6 +253,16 @@ def _linear_source(config, dist, context):
 
         return source
     raise ConfigError(f"{context}: unknown input type {kind!r}")
+
+
+def _fit_window(config, horizon):
+    window = config.get("fit_window", [0.25 * horizon, 0.9 * horizon])
+    numbers = isinstance(window, list) and len(window) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in window
+    )
+    if not (numbers and window[0] < window[1]):
+        raise ConfigError(f"linear: fit_window must be two numbers a < b, got {window!r}")
+    return tuple(window)
 
 
 def run_linear(config, outdir):
@@ -263,6 +277,7 @@ def run_linear(config, outdir):
     dt = _positive(config, "dt", "linear")
     horizon = _positive(config, "horizon", "linear")
     weight_order = _integer(config, "weight_order", "linear", default=4, minimum=0)
+    window = _fit_window(config, horizon)
     with _constructing("linear"):
         source = _linear_source(config, dist, "linear")
         problem = volterra.VolterraProblem(
@@ -271,7 +286,6 @@ def run_linear(config, outdir):
     solution = volterra.solve(problem)
     _order_parameter_csv(outdir / "R.csv", solution.times, solution.values, weight_order)
 
-    window = tuple(config.get("fit_window", (0.25 * horizon, 0.9 * horizon)))
     noisy = False
     try:
         fit = volterra.fit_decay(solution, window=window)
@@ -352,10 +366,10 @@ def run_nonlinear(config, outdir):
     nodes = _integer(config, "grid_nodes", "nonlinear")
     output_every = _integer(config, "output_every", "nonlinear", default=10)
     weight_order = _integer(config, "weight_order", "nonlinear", default=4, minimum=0)
-    snapshot_times = tuple(config.get("snapshot_times", ()))
 
     # run checks the step-size bound and the weight order before it marches
     with _constructing("nonlinear"):
+        snapshot_times = tuple(config.get("snapshot_times", ()))
         modes = _perturbation_modes(config["initial_perturbation"], "nonlinear.initial_perturbation")
         grid = build_grid(dist, nodes, float(config.get("mass_threshold", 1.0 - 1e-8)))
         state = spectral.initialize(dist, grid, k_max, epsilon, coupling, modes=modes)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 from .exceptions import ConfigError, Divergent, MassNotCovered, UnsupportedOrder
 
@@ -36,6 +36,7 @@ __all__ = [
     "fourier_moment",
     "sobolev_norm",
     "build_grid",
+    "invert_monotone",
     "distribution_from_config",
     "distribution_to_config",
     "require_keys",
@@ -254,14 +255,10 @@ class Mixture(FrequencyDistribution):
         return sum(w * c.cdf(omega) for w, c in zip(self.weights, self.components))
 
     def inverse_cdf(self, p):
-        if np.ndim(p) > 0:
-            return np.array([self.inverse_cdf(float(q)) for q in np.asarray(p)])
         # Component quantiles bracket the mixture quantile.
-        lows = [c.inverse_cdf(p) for c in self.components]
-        lo, hi = min(lows), max(lows)
-        if hi - lo < 1e-300:
-            return lo
-        return optimize.brentq(lambda w: self.cdf(w) - p, lo, hi, xtol=1e-13, rtol=1e-15)
+        quantiles = [c.inverse_cdf(p) for c in self.components]
+        lo, hi = np.minimum.reduce(quantiles), np.maximum.reduce(quantiles)
+        return invert_monotone(self.cdf, self.density, p, 0.5 * (lo + hi), lo, hi)
 
     def fourier_tail_integral(self, t0):
         return sum(w * c.fourier_tail_integral(t0) for w, c in zip(self.weights, self.components))
@@ -279,6 +276,29 @@ class Mixture(FrequencyDistribution):
 
     def _components(self):
         return list(zip(self.weights, self.components))
+
+
+_INVERT_MAX_STEPS = 80
+_INVERT_RESIDUAL = 1e-14
+
+
+def invert_monotone(func, deriv, targets, x, lo, hi):
+    """Solve func(x) = targets elementwise for increasing ``func`` by Newton steps from ``x``.
+
+    A step that leaves the bracket [lo, hi], shrunk as residual signs are seen, bisects it;
+    a step that rounds to zero keeps x, which may already be an end of the bracket.
+    """
+    for _ in range(_INVERT_MAX_STEPS):
+        f = func(x) - targets
+        lo = np.where(f < 0, np.maximum(lo, x), lo)
+        hi = np.where(f > 0, np.minimum(hi, x), hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / deriv(x)
+        bad = (~np.isfinite(newton) | (newton <= lo) | (newton >= hi)) & (newton != x)
+        x = np.where(bad, 0.5 * (lo + hi), newton)
+        if np.max(np.abs(f)) < _INVERT_RESIDUAL:
+            break
+    return x
 
 
 def bi_cauchy(half_width, offset):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import invert_monotone
 from .exceptions import InvalidPerturbation
 
 __all__ = [
@@ -54,14 +55,11 @@ class FiniteNState:
 
 def _van_der_corput(count):
     """Low-discrepancy points in (0, 1): base-2 radical-inverse sequence."""
+    n = np.arange(1, count + 1)
     out = np.zeros(count)
-    for i in range(count):
-        n, denom, x = i + 1, 1.0, 0.0
-        while n:
-            n, rem = divmod(n, 2)
-            denom *= 2
-            x += rem / denom
-        out[i] = x
+    for bit in range(1, int(count).bit_length() + 1):
+        out += (n & 1) / 2.0**bit
+        n >>= 1
     return out
 
 
@@ -86,25 +84,6 @@ def _theta_density(theta, mode_values, epsilon):
     return total
 
 
-def _invert_theta_cdf(targets, mode_values, epsilon):
-    """Vectorized Newton with bisection fallback on [0, 2pi)."""
-    theta = TWO_PI * targets.copy()
-    lo = np.zeros_like(theta)
-    hi = np.full_like(theta, TWO_PI)
-    for _ in range(80):
-        f = _theta_cdf(theta, mode_values, epsilon) - targets
-        lo = np.where(f < 0, np.maximum(lo, theta), lo)
-        hi = np.where(f > 0, np.minimum(hi, theta), hi)
-        d = _theta_density(theta, mode_values, epsilon)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = theta - f / d
-        bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
-        theta = np.where(bad, 0.5 * (lo + hi), newton)
-        if np.max(np.abs(f)) < 1e-14:
-            break
-    return theta
-
-
 def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling="quantile", seed=None):
     """Draw N oscillators with frequencies from ``dist`` and perturbed phases.
 
@@ -122,8 +101,7 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
         raise InvalidPerturbation("mode 0 must vanish (mass conservation per frequency)")
 
     if sampling == "quantile":
-        probs = (np.arange(count) + 0.5) / count
-        freqs = np.asarray(dist.inverse_cdf(probs), dtype=float)
+        freqs = np.asarray(dist.inverse_cdf((np.arange(count) + 0.5) / count), dtype=float)
         targets = _van_der_corput(count)
     else:
         rng = np.random.default_rng(seed)
@@ -136,14 +114,15 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
         # might dip below zero get the exact theta-sampled check.
         amplitude = sum(np.abs(v) for v in mode_values.values())
         floor = 1.0 / TWO_PI - (epsilon / np.pi) * amplitude
-        theta_check = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-        for i in np.nonzero(floor < 0.0)[0]:
-            local = {k: v[i] for k, v in mode_values.items()}
-            if np.min(_theta_density(theta_check, local, epsilon)) < -1e-12:
-                raise InvalidPerturbation(
-                    f"phase density negative at frequency {freqs[i]:.4g}"
-                )
-        phases = _invert_theta_cdf(targets, mode_values, epsilon)
+        suspects = np.nonzero(floor < 0.0)[0]
+        theta_check = np.linspace(0.0, TWO_PI, 128, endpoint=False)[:, None]
+        local = {k: v[suspects] for k, v in mode_values.items()}
+        bad = suspects[np.min(_theta_density(theta_check, local, epsilon), axis=0) < -1e-12]
+        if bad.size:
+            raise InvalidPerturbation(f"phase density negative at frequency {freqs[bad[0]]:.4g}")
+        cdf = lambda theta: _theta_cdf(theta, mode_values, epsilon)
+        density = lambda theta: _theta_density(theta, mode_values, epsilon)
+        phases = invert_monotone(cdf, density, targets, TWO_PI * targets, 0.0, TWO_PI)
     else:
         phases = TWO_PI * targets
 
@@ -155,8 +134,8 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
 
 
 def _phase_velocity(phases, frequencies, coupling):
-    z = np.exp(1j * phases).mean()
-    return frequencies + coupling * np.imag(z * np.exp(-1j * phases))
+    e = np.exp(1j * phases)
+    return frequencies + coupling * np.imag(e.mean() * np.conj(e))
 
 
 def step_rk4(state, dt):

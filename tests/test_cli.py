@@ -288,7 +288,7 @@ _VALID = {
         "horizon": 1.0,
     },
     "nonlinear": lambda: dict(_nonlinear_config(horizon=0.1, snapshots=()), grid_nodes=64),
-    "finite-n": _finite_n_config,
+    "finite-n": lambda: dict(_finite_n_config(), sampling="seeded", seed=0),
 }
 
 
@@ -315,6 +315,17 @@ _VALID = {
         ("finite-n", "sampling", "random"),
         ("finite-n", "initial_perturbation",
          {"modes": [{"mode": 1, "kind": "constant", "value": "abc"}]}),
+        # wrong-typed optional values: TypeErrors while the problem is built
+        ("nonlinear", "snapshot_times", 5),
+        ("nonlinear", "mass_threshold", [1]),
+        ("nonlinear", "initial_perturbation",
+         {"modes": [{"mode": 1, "kind": "gaussian", "center": [1]}]}),
+        ("linear", "fit_window", 5),
+        ("linear", "fit_window", [1]),
+        ("linear", "input", {"type": "poly_decay", "exponent": [1]}),
+        ("finite-n", "seed", "abc"),
+        ("witness", "amplitude", [1]),
+        ("kc-scan", "values", [None]),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):
@@ -343,8 +354,13 @@ def _csv_input(tmp_path, rows):
         ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (0.5, 0.7, 0), (0.5, 0.5, 0)]), 2),
         # exp(t) of the witness source overflows long before t = 800: numeric failure
         ("witness", lambda tmp: {"dt": 0.5, "horizon": 800.0}, 3),
+        # the csv must cover [0, horizon]; interpolation would hold its end values
+        ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (0.5, 0.7, 0), (0.9, 0.5, 0)]), 2),
+        ("linear", lambda tmp: _csv_input(tmp, [(0.1, 1, 0), (0.5, 0.7, 0), (1, 0.5, 0)]), 2),
+        ("linear", lambda tmp: _csv_input(tmp, []), 2),
     ],
-    ids=["nan-ReF", "inf-ImF", "decreasing-t", "repeated-t", "witness-overflow"],
+    ids=["nan-ReF", "inf-ImF", "decreasing-t", "repeated-t", "witness-overflow",
+         "short-csv", "late-start-csv", "header-only-csv"],
 )
 def test_non_finite_or_disordered_input_exit_code(tmp_path, capsys, experiment, change, code):
     config = dict(_VALID[experiment](), **change(tmp_path))
@@ -357,3 +373,35 @@ def test_non_finite_or_disordered_input_exit_code(tmp_path, capsys, experiment, 
     else:
         assert [p.name for p in out.iterdir()] == ["error.json"]
         assert json.loads((out / "error.json").read_text())["error"] == "BlowupDetected"
+
+
+def test_csv_input_covering_exactly_the_horizon_runs(tmp_path):
+    times = np.linspace(0.0, 1.0, 21)
+    rows = [(t, f, 0.0) for t, f in zip(times, np.exp(-times))]
+    config = dict(_VALID["linear"](), **_csv_input(tmp_path, rows))
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main(["linear", "--config", cfg, "--out", str(out)]) == 0
+    r = np.genfromtxt(out / "R.csv", delimiter=",", skip_header=1)
+    assert r[-1, 0] == 1.0
+    assert r[0, 1] == 1.0
+
+
+def test_linear_mode_source_on_narrow_two_bump(tmp_path):
+    # the default-threshold grid cut of bi_cauchy(1, 0.5) used to fail in the inverse CDF
+    config = dict(
+        _VALID["linear"](),
+        distribution={
+            "family": "mixture",
+            "weights": [0.5, 0.5],
+            "components": [
+                {"family": "cauchy", "delta": 1.0, "center": -0.5},
+                {"family": "cauchy", "delta": 1.0, "center": 0.5},
+            ],
+        },
+        input={"type": "mode", "profile": {"kind": "constant"}, "grid_nodes": 512},
+    )
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main(["linear", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "R.csv").exists()

@@ -234,6 +234,37 @@ def test_sobolev_norm_rejects_unsupported_order():
 
 
 # ---------------------------------------------------------------------------
+# inverse CDF
+
+# The grid cut of build_grid's default mass threshold sits at these tails.
+_QUANTILE_PROBES = np.concatenate(
+    [[2.5e-9], np.linspace(1e-4, 1.0 - 1e-4, 999), [1.0 - 2.5e-9]]
+)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [bi_cauchy(1.0, r) for r in (0.3, 0.5, 2.0, 10.0)]
+    + [Mixture((0.3, 0.7), (Gaussian(0.5, -2.0), Cauchy(1.0, 1.5)))],
+    ids=["bi-cauchy-0.3", "bi-cauchy-0.5", "bi-cauchy-2", "bi-cauchy-10", "gauss-cauchy"],
+)
+def test_mixture_inverse_cdf_round_trip(dist):
+    omega = dist.inverse_cdf(_QUANTILE_PROBES)
+    assert np.all(np.diff(omega) > 0)
+    assert np.max(np.abs(dist.cdf(omega) - _QUANTILE_PROBES)) <= 1e-14
+    # a scalar probability gives the same quantile as the array path
+    assert float(dist.inverse_cdf(0.3)) == dist.inverse_cdf(np.array([0.3]))[0]
+
+
+def test_narrow_two_bump_grid_at_default_threshold():
+    # the component quantiles at the 2.5e-9 cut bracket a CDF change below
+    # its rounding, which a sign-change root finder cannot work with
+    grid = build_grid(bi_cauchy(1.0, 0.5), 512)
+    assert grid.mass_covered >= grid.mass_threshold
+    assert np.all(np.diff(grid.nodes) > 0)
+
+
+# ---------------------------------------------------------------------------
 # quadrature grids
 
 

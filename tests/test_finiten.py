@@ -7,6 +7,7 @@ from kuramoto_damping.distributions import Cauchy, Gaussian
 from kuramoto_damping.exceptions import InvalidPerturbation
 from kuramoto_damping.finiten import (
     FiniteNState,
+    _van_der_corput,
     order_parameter_n,
     sample_oscillators,
     simulate,
@@ -61,6 +62,24 @@ def test_negative_phase_density_rejected():
         sample_oscillators(Gaussian(1.0), 32, 1.0, epsilon=0.9, modes={1: _unit})
     with pytest.raises(InvalidPerturbation):
         sample_oscillators(Gaussian(1.0), 32, 1.0, epsilon=0.1, modes={0: _unit})
+    # the message names the lowest frequency whose phase density dips below zero
+    freqs = sample_oscillators(Gaussian(1.0), 32, 1.0).frequencies
+    step = {1: lambda w: np.where(np.asarray(w) > 0.3, 1.0, 0.0) + 0j}
+    with pytest.raises(InvalidPerturbation, match=f"at frequency {freqs[freqs > 0.3][0]:.4g}$"):
+        sample_oscillators(Gaussian(1.0), 32, 1.0, epsilon=0.9, modes=step)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 1023, 1024, 1025, 10_000])
+def test_van_der_corput_matches_digit_loop(count):
+    expected = np.zeros(count)
+    for i in range(count):
+        n, denom, x = i + 1, 1.0, 0.0
+        while n:
+            n, rem = divmod(n, 2)
+            denom *= 2
+            x += rem / denom
+        expected[i] = x
+    assert np.array_equal(_van_der_corput(count), expected)
 
 
 def test_rejects_tiny_population():
