@@ -56,6 +56,19 @@ def _positive(obj, key, context):
     return float(val)
 
 
+def _number(obj, key, context, default):
+    """An optional number; a JSON boolean is rejected, not read as 0 or 1."""
+    val = obj.get(key, default)
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError(f"{context}: {key} must be a number, got {val!r}")
+    return float(val)
+
+
+def _numbers(values, context):
+    """The entries of a JSON list, each read by ``_number``."""
+    return [_number({"value": v}, "value", f"{context}[{i}]", None) for i, v in enumerate(values)]
+
+
 def _nonnegative(obj, key, context):
     val = obj[key]
     if not isinstance(val, (int, float)) or isinstance(val, bool) or val < 0:
@@ -88,12 +101,13 @@ def _mode_profile(spec, context):
     mode = _integer(spec, "mode", context)
     if kind == "constant":
         raw = spec.get("value", 1.0)
-        value = complex(raw[0], raw[1]) if isinstance(raw, (list, tuple)) else complex(raw)
-        return mode, lambda w: np.full(np.shape(w), value, dtype=complex)
+        parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
+        re, im = _numbers(parts, f"{context}.value")
+        return mode, lambda w: np.full(np.shape(w), complex(re, im), dtype=complex)
     if kind == "gaussian":
-        amp = float(spec.get("amplitude", 1.0))
+        amp = _number(spec, "amplitude", context, 1.0)
         width = _positive(spec, "width", context) if "width" in spec else 1.0
-        center = float(spec.get("center", 0.0))
+        center = _number(spec, "center", context, 0.0)
         return mode, lambda w: amp * np.exp(-0.5 * ((np.asarray(w) - center) / width) ** 2) + 0j
     raise ConfigError(f"{context}: unknown mode kind {kind!r}")
 
@@ -180,13 +194,17 @@ def run_kc_scan(config, outdir):
     if not isinstance(values, list) or not values:
         raise ConfigError("kc-scan: values must be a non-empty list")
 
+    values = _numbers(values, "kc-scan.values")
+    delta = _number(config, "delta", "kc-scan", 1.0)
+    omega0 = _number(config, "omega0", "kc-scan", 0.0)
+
     def family(value):
         if parameter == "omega0":
-            return bi_cauchy(float(config.get("delta", 1.0)), float(value))
-        return bi_cauchy(float(value), float(config.get("omega0", 0.0)))
+            return bi_cauchy(delta, value)
+        return bi_cauchy(value, omega0)
 
     with _constructing("kc-scan"):
-        rows = [(float(v), *dispersion.critical_coupling(family(v))) for v in values]
+        rows = [(v, *dispersion.critical_coupling(family(v))) for v in values]
 
     _write_csv(
         outdir / "kc_scan.csv",
@@ -208,7 +226,7 @@ def _linear_source(config, dist, context):
     )
     kind = spec["type"]
     if kind == "poly_decay":
-        exponent = float(spec.get("exponent", 4.0))
+        exponent = _number(spec, "exponent", f"{context}.input", 4.0)
         modulation = spec.get("modulation", "none")
         if modulation not in ("none", "cos", "exp_i"):
             raise ConfigError(f"{context}: unknown modulation {modulation!r}")
@@ -228,7 +246,7 @@ def _linear_source(config, dist, context):
         grid = build_grid(
             dist,
             _integer(spec, "grid_nodes", f"{context}.input", default=2048),
-            float(spec.get("mass_threshold", 1.0 - 1e-8)),
+            _number(spec, "mass_threshold", f"{context}.input", 1.0 - 1e-8),
         )
         return volterra.mode_input_from_grid(grid, profile)
     if kind == "csv":
@@ -318,7 +336,7 @@ def run_witness(config, outdir):
     dt = _positive(config, "dt", "witness")
     horizon = _positive(config, "horizon", "witness")
     with _constructing("witness"):
-        amplitude = float(config.get("amplitude", 1.0))
+        amplitude = _number(config, "amplitude", "witness", 1.0)
         source, rate = volterra.instability_witness(dist, coupling, amplitude)
         problem = volterra.VolterraProblem(
             volterra.kuramoto_kernel(dist, coupling), source, dt, horizon
@@ -369,9 +387,9 @@ def run_nonlinear(config, outdir):
 
     # run checks the step-size bound and the weight order before it marches
     with _constructing("nonlinear"):
-        snapshot_times = tuple(config.get("snapshot_times", ()))
+        snapshot_times = tuple(_numbers(config.get("snapshot_times", ()), "nonlinear.snapshot_times"))
         modes = _perturbation_modes(config["initial_perturbation"], "nonlinear.initial_perturbation")
-        grid = build_grid(dist, nodes, float(config.get("mass_threshold", 1.0 - 1e-8)))
+        grid = build_grid(dist, nodes, _number(config, "mass_threshold", "nonlinear", 1.0 - 1e-8))
         state = spectral.initialize(dist, grid, k_max, epsilon, coupling, modes=modes)
         result = spectral.run(
             state,
@@ -432,7 +450,7 @@ def run_finite_n(config, outdir):
     dt = _positive(config, "dt", "finite-n")
     horizon = _positive(config, "horizon", "finite-n")
     sampling = config.get("sampling", "quantile")
-    seed = config.get("seed")
+    seed = _integer(config, "seed", "finite-n", minimum=0) if "seed" in config else None
     output_every = _integer(config, "output_every", "finite-n", default=10)
     with _constructing("finite-n"):
         modes = _perturbation_modes(config["initial_perturbation"], "finite-n.initial_perturbation")

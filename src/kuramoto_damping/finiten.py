@@ -134,8 +134,15 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
 
 
 def _phase_velocity(phases, frequencies, coupling):
-    e = np.exp(1j * phases)
-    return frequencies + coupling * np.imag(e.mean() * np.conj(e))
+    """omega_j + K Im(Z e^{-i theta_j}) = omega_j + K (S cos theta_j - C sin theta_j), Z = C + iS."""
+    cos, sin = np.cos(phases), np.sin(phases)
+    k_sin, k_cos = coupling * sin.mean(), coupling * cos.mean()
+    # in place on the two fresh arrays: no further temporaries of size N
+    cos *= k_sin
+    sin *= k_cos
+    cos -= sin
+    cos += frequencies
+    return cos
 
 
 def step_rk4(state, dt):

@@ -4,6 +4,12 @@ Solves R(t) = F(t) + int_0^t G(t-s) R(s) ds on a uniform grid by product-
 trapezoidal marching: the diagonal term is implicit, one complex division per
 step, global accuracy O(dt^2), unconditionally stable for decaying kernels.
 
+The history sums are built by the recursive FFT blocks of Hairer, Lubich and
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): N steps cost O(N log^2 N)
+instead of the O(N^2) of one dot product per step.  Each block's FFT product is
+exponentially tilted when |R| decays, so its rounding error follows |R| down
+the tail rather than sitting at eps * max|R|.
+
 For the oscillator ensemble the kernel is G(t) = (K/2) ghat(t) and the source
 F(t) is the free-transport image of the initial first mode (the nonlinear
 feedback term is handled by the mode simulation, not here).
@@ -14,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .dispersion import DispersionRelation, find_unstable_root
 from .exceptions import (
@@ -35,6 +42,8 @@ __all__ = [
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _SOURCE_BLOCK = 512  # rows of the mode-source phase matrix built at once
+_LEAF = 64  # steps marched with direct dot products at the bottom of the recursion
+_MAX_TILT = 200.0  # cap on tilt rate x block length: e^200 is far from overflow
 # fit_decay leaves out |R| <= _NOISE_FLOOR and accepts RMS residuals up to _RESIDUAL_TOL.
 _NOISE_FLOOR, _RESIDUAL_TOL = 1e-14, 0.5
 
@@ -76,10 +85,58 @@ def _sample(func, times):
     return out
 
 
+def _tilt(x, g):
+    """Factors e^{am}, m < g.size, of the exponential tilt of the product x * g.
+
+    The rounding error of an FFT product is about eps ||x|| ||g|| in every
+    entry, which on a decaying x swamps the small late entries.  When |x|
+    decays at mean rate a per sample (from its peak to its last quarter),
+    x_m -> x_m e^{am}, g_m -> g_m e^{am} and entry n -> entry n e^{-an} leave
+    the exact product unchanged and scale each entry's error with its size.
+    The tilt is dropped (a = 0) if it would raise the error bound of the first
+    entry used, e^{-a(x.size-1)} ||x e^{am}|| ||g e^{am}||, as a kernel that
+    decays more slowly than x does.
+    """
+    x_abs, g_abs = np.abs(x), np.abs(g)
+    quarter = max(1, x.size // 4)
+    head, tail = x_abs.max(), x_abs[-quarter:].max()
+    rate = 0.0
+    if head > tail:
+        with np.errstate(divide="ignore"):
+            rate = min(np.log(head / tail) / (x.size - quarter), _MAX_TILT / g.size)
+    up = np.exp(rate * np.arange(g.size))
+    x_up, g_up = x_abs * up[: x.size], g_abs * up
+    if (x_up @ x_up) * (g_up @ g_up) > (x_abs @ x_abs) * (g_abs @ g_abs) * up[x.size - 1] ** 2:
+        return np.ones(g.size)
+    return up
+
+
+def _block_product(x, g):
+    """Entries x.size-1 .. g.size-1 of the linear convolution of x and g.
+
+    One tilted FFT product of length g.size; its wrap-around lands only on
+    earlier entries.  Real x and g give a real product, as a direct sum would.
+    """
+    up = _tilt(x, g)
+    size = fft.next_fast_len(g.size)
+    prod = fft.ifft(fft.fft(x * up[: x.size], size) * fft.fft(g * up, size))[x.size - 1 : g.size]
+    if not (x.imag.any() or g.imag.any()):
+        prod = prod.real  # the imaginary part is rounding noise
+    return prod / up[x.size - 1 :]
+
+
 def solve(problem):
     """March the product-trapezoidal scheme over the grid.
 
     R_j = [F_j + dt (G_j R_0 / 2 + sum_{0<i<j} G_{j-i} R_i)] / (1 - dt G_0 / 2)
+
+    The steps are split in halves recursively.  Once a left half is solved,
+    its whole contribution to the sums of the right half is added by one FFT
+    product (``_block_product``); blocks of at most ``_LEAF`` steps march one
+    step at a time with short dot products.  N steps take O(N log^2 N) work.
+    Against the one-dot-product-per-step march the values differ by rounding
+    only: about 1e-15 max|R| in absolute terms, and, where |R| decays, a
+    pointwise relative difference that stays near rounding down the tail.
 
     Raises BlowupDetected when the kernel or the source is not finite on the
     grid (for instance a growing source that overflows).
@@ -98,11 +155,20 @@ def solve(problem):
 
     R = np.zeros_like(F)
     R[0] = F[0]
-    for j in range(1, steps + 1):
-        acc = 0.5 * G[j] * R[0]
-        if j > 1:
-            acc += np.dot(R[1:j], G[j - 1 : 0 : -1])
-        R[j] = (F[j] + dt * acc) / denom
+    history = 0.5 * R[0] * G  # history[j]: the part of step j's sum known so far
+
+    def march(lo, hi):
+        if hi - lo <= _LEAF:
+            for j in range(lo, hi):
+                near = np.dot(R[lo:j], G[j - lo : 0 : -1])
+                R[j] = (F[j] + dt * (history[j] + near)) / denom
+            return
+        mid = (lo + hi) // 2
+        march(lo, mid)
+        history[mid:hi] += _block_product(R[lo:mid], G[1 : hi - lo])
+        march(mid, hi)
+
+    march(1, steps + 1)
     return VolterraSolution(times=times, values=R)
 
 

@@ -326,6 +326,19 @@ _VALID = {
         ("finite-n", "seed", "abc"),
         ("witness", "amplitude", [1]),
         ("kc-scan", "values", [None]),
+        # JSON booleans are not numbers, also where a value is optional
+        ("kc-scan", "values", [True]),
+        ("kc-scan", "omega0", True),
+        ("witness", "amplitude", True),
+        ("linear", "input", {"type": "poly_decay", "exponent": True}),
+        ("linear", "input",
+         {"type": "mode", "profile": {"kind": "gaussian", "amplitude": True}, "grid_nodes": 64}),
+        ("nonlinear", "initial_perturbation",
+         {"modes": [{"mode": 1, "kind": "gaussian", "center": True}]}),
+        ("nonlinear", "initial_perturbation",
+         {"modes": [{"mode": 1, "kind": "constant", "value": [0.5, True]}]}),
+        ("nonlinear", "snapshot_times", [True]),
+        ("finite-n", "seed", True),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):

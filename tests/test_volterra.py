@@ -11,6 +11,7 @@ from kuramoto_damping.exceptions import StepSolveFailure, UnstableKernel, Window
 from kuramoto_damping.volterra import (
     VolterraProblem,
     VolterraSolution,
+    _block_product,
     _cumulative_transform,
     empirical_stability_constant,
     fit_decay,
@@ -124,6 +125,88 @@ def test_singular_diagonal_raises():
     # dt G(0) / 2 = 1 makes the implicit factor vanish
     with pytest.raises(StepSolveFailure):
         solve(VolterraProblem(lambda t: 2.0 / 0.5 * np.ones_like(np.asarray(t)), _ones, 0.5, 2.0))
+
+
+def _direct_march(G, F, dt):
+    """The one-dot-product-per-step O(N^2) march, kept as the reference."""
+    denom = 1.0 - 0.5 * dt * G[0]
+    R = np.zeros_like(F)
+    R[0] = F[0]
+    for j in range(1, F.size):
+        acc = 0.5 * G[j] * R[0]
+        if j > 1:
+            acc += np.dot(R[1:j], G[j - 1 : 0 : -1])
+        R[j] = (F[j] + dt * acc) / denom
+    return R
+
+
+def _rotating(t):
+    return np.exp(1j * t) / (1.0 + t) ** 2
+
+
+@pytest.mark.parametrize(
+    "dist, coupling, source",
+    [
+        (Cauchy(1.0), 1.0, None),
+        (Gaussian(1.0), 1.0, None),
+        (bi_cauchy(1.0, 2.0), 1.5, None),
+        (Cauchy(1.0), 2.6, None),
+        (Cauchy(1.0), 1.5, _rotating),
+    ],
+    ids=["cauchy", "gaussian", "two-bump", "unstable-cauchy", "complex-source"],
+)
+@pytest.mark.parametrize("steps", [1, 2, 63, 64, 65, 1000, 4001])
+def test_block_march_matches_direct_march(dist, coupling, source, steps):
+    # leaves, uneven splits and several recursion levels of the FFT blocks;
+    # F = ghat unless a source is given
+    dt = 0.01
+    kernel = kuramoto_kernel(dist, coupling)
+    source = source or dist.fourier_transform
+    sol = solve(VolterraProblem(kernel, source, dt, steps * dt))
+    assert sol.values.size == steps + 1
+    G = np.asarray(kernel(sol.times), dtype=complex)
+    F = np.asarray(source(sol.times), dtype=complex)
+    ref = _direct_march(G, F, dt)
+    assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if not (np.any(G.imag) or np.any(F.imag)):
+        # a real kernel and source give an exactly real solution
+        assert not np.any(sol.values.imag)
+
+
+def test_block_product_is_not_tilted_past_a_slowly_decaying_kernel():
+    # x decays much faster than g: tilting at x's rate would grow g by e^199
+    # before the entries are scaled back, so the product must stay untilted
+    m = np.arange(1024)
+    x = np.exp(-0.5 * m[:512]) + 0j
+    g = np.exp(-0.001 * m) + 0j
+    out = _block_product(x, g)
+    ref = np.convolve(x, g)[511:1024]
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _cauchy_closed_form_errors(delta, coupling, dt, horizon):
+    # F = ghat makes R = exp((K/2 - delta) t); returns the pointwise relative error
+    dist = Cauchy(delta)
+    sol = solve(
+        VolterraProblem(kuramoto_kernel(dist, coupling), dist.fourier_transform, dt, horizon)
+    )
+    exact = np.exp((0.5 * coupling - delta) * sol.times)
+    return np.abs(sol.values - exact) / exact
+
+
+def test_decaying_tail_keeps_pointwise_relative_accuracy():
+    # |R(30)| is about 2e-12: an untilted FFT block leaves errors near
+    # 1e-16 max|R| there, a relative error of about 1e-6
+    rel = _cauchy_closed_form_errors(1.0, 0.2, 1e-3, 30.0)
+    assert np.max(rel) <= 1e-8
+
+
+@pytest.mark.parametrize("delta, coupling", [(1.25, 1.0), (1.0, 0.2)])
+def test_closed_form_error_is_second_order_on_a_long_decay(delta, coupling):
+    # the benchmark's steepest decay, and the tail case above
+    coarse = np.max(_cauchy_closed_form_errors(delta, coupling, 2e-3, 30.0))
+    fine = np.max(_cauchy_closed_form_errors(delta, coupling, 1e-3, 30.0))
+    assert 3.9 <= coarse / fine <= 4.1
 
 
 # ---------------------------------------------------------------------------
