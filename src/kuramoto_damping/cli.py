@@ -49,19 +49,31 @@ def _integer(obj, key, context, default=None, minimum=1):
     return val
 
 
+def _as_float(val):
+    """A JSON number as a float; None for a boolean, a non-number or an int past float range."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        return float(val)
+    except OverflowError:
+        return None
+
+
 def _positive(obj, key, context):
-    val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-        raise ConfigError(f"{context}: {key} must be a positive number, got {val!r}")
-    return float(val)
+    raw = obj[key]
+    val = _as_float(raw)
+    if val is None or val <= 0:
+        raise ConfigError(f"{context}: {key} must be a positive number, got {raw!r}")
+    return val
 
 
 def _number(obj, key, context, default):
     """An optional number; a JSON boolean is rejected, not read as 0 or 1."""
-    val = obj.get(key, default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{context}: {key} must be a number, got {val!r}")
-    return float(val)
+    raw = obj.get(key, default)
+    val = _as_float(raw)
+    if val is None:
+        raise ConfigError(f"{context}: {key} must be a number, got {raw!r}")
+    return val
 
 
 def _numbers(values, context):
@@ -70,27 +82,28 @@ def _numbers(values, context):
 
 
 def _nonnegative(obj, key, context):
-    val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or val < 0:
-        raise ConfigError(f"{context}: {key} must be a nonnegative number, got {val!r}")
-    return float(val)
+    raw = obj[key]
+    val = _as_float(raw)
+    if val is None or val < 0:
+        raise ConfigError(f"{context}: {key} must be a nonnegative number, got {raw!r}")
+    return val
 
 
 @contextlib.contextmanager
 def _constructing(context):
-    """Report a ValueError or TypeError raised while a problem is built as a config error."""
+    """Report a ValueError, TypeError or OverflowError from building a problem as a config error."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _distribution(obj, context):
     try:
         return distribution_from_config(obj)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"{context}: bad distribution spec: {exc}") from exc
 
 
@@ -248,7 +261,7 @@ def _linear_source(config, dist, context):
             _integer(spec, "grid_nodes", f"{context}.input", default=2048),
             _number(spec, "mass_threshold", f"{context}.input", 1.0 - 1e-8),
         )
-        return volterra.mode_input_from_grid(grid, profile)
+        return volterra.mode_input_from_grid(grid, profile, float(config["dt"]))
     if kind == "csv":
         path = Path(spec["path"])
         if not path.exists():
@@ -275,12 +288,11 @@ def _linear_source(config, dist, context):
 
 def _fit_window(config, horizon):
     window = config.get("fit_window", [0.25 * horizon, 0.9 * horizon])
-    numbers = isinstance(window, list) and len(window) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in window
-    )
-    if not (numbers and window[0] < window[1]):
+    pair = isinstance(window, list) and len(window) == 2
+    bounds = [_as_float(v) for v in window] if pair else [None]
+    if None in bounds or not bounds[0] < bounds[1]:
         raise ConfigError(f"linear: fit_window must be two numbers a < b, got {window!r}")
-    return tuple(window)
+    return tuple(bounds)
 
 
 def run_linear(config, outdir):
@@ -572,7 +584,7 @@ def _load_config(path):
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the parser's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

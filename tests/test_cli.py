@@ -69,6 +69,16 @@ def test_invalid_json_rejected(tmp_path):
     assert main(["stability", "--config", str(path)]) == 2
 
 
+def test_integer_past_the_json_digit_limit_rejected(tmp_path, capsys):
+    # Python's int parser refuses more than 4300 digits with a plain ValueError
+    path = tmp_path / "c.json"
+    path.write_text('{"parameter": "delta", "values": [' + "1" * 5000 + "]}")
+    out = tmp_path / "out"
+    assert main(["kc-scan", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_kc_scan_csv_and_determinism(tmp_path):
     cfg = _write_config(
         tmp_path, "c.json", {"parameter": "omega0", "values": [0, 0.5, 2.0], "delta": 1.0}
@@ -339,6 +349,19 @@ _VALID = {
          {"modes": [{"mode": 1, "kind": "constant", "value": [0.5, True]}]}),
         ("nonlinear", "snapshot_times", [True]),
         ("finite-n", "seed", True),
+        # JSON integers too large for a float
+        pytest.param("kc-scan", "values", [10**400], id="kc-scan-values-huge-int"),
+        pytest.param("stability", "coupling", 10**400, id="stability-coupling-huge-int"),
+        pytest.param(
+            "linear", "input",
+            {"type": "mode", "profile": {"kind": "constant"}, "grid_nodes": 10**400},
+            id="linear-input-grid_nodes-huge-int",
+        ),
+        pytest.param(
+            "stability", "distribution", {"family": "cauchy", "delta": 10**400},
+            id="stability-distribution-delta-huge-int",
+        ),
+        pytest.param("linear", "fit_window", [0.0, 10**400], id="linear-fit_window-huge-int"),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):
@@ -398,6 +421,27 @@ def test_csv_input_covering_exactly_the_horizon_runs(tmp_path):
     r = np.genfromtxt(out / "R.csv", delimiter=",", skip_header=1)
     assert r[-1, 0] == 1.0
     assert r[0, 1] == 1.0
+
+
+def test_linear_mode_source_matches_cauchy_closed_form(tmp_path):
+    # g = Cauchy(1) and h = 1 give F = ghat = e^{-t}, and R = e^{(K/2 - 1) t}
+    # solves R = F + (K/2) ghat * R.  The grid's quadrature of ghat sets the
+    # error: 1.26e-3 with the one-exponential-per-pair source, bound 1.5e-3.
+    config = dict(
+        _VALID["linear"](),
+        input={"type": "mode", "profile": {"kind": "constant"}, "grid_nodes": 2048},
+        dt=0.01,
+        horizon=2.0,
+    )
+    cfg = _write_config(tmp_path, "c.json", config)
+    runs = [tmp_path / "out1", tmp_path / "out2"]
+    for out in runs:
+        assert main(["linear", "--config", cfg, "--out", str(out)]) == 0
+    data = np.genfromtxt(runs[0] / "R.csv", delimiter=",", skip_header=1)
+    t, r = data[:, 0], data[:, 1] + 1j * data[:, 2]
+    assert t[-1] == 2.0
+    assert np.max(np.abs(r - np.exp(-0.5 * t))) <= 1.5e-3
+    assert (runs[0] / "R.csv").read_bytes() == (runs[1] / "R.csv").read_bytes()
 
 
 def test_linear_mode_source_on_narrow_two_bump(tmp_path):

@@ -236,6 +236,23 @@ def test_zero_initial_mode_gives_zero_solution():
     assert np.max(np.abs(sol.values)) == 0.0
 
 
+def _extended_sum(grid, amps, t):
+    """sum_j amps_j exp(-i t omega_j) with long-double phases, cos - i sin, 256 rows at a time."""
+    omega = grid.nodes.astype(np.longdouble)
+    re, im = amps.real.astype(np.longdouble), amps.imag.astype(np.longdouble)
+    flat = np.ravel(t)
+    out = np.empty(flat.size, dtype=complex)
+    for lo in range(0, flat.size, 256):
+        phases = np.multiply.outer(flat[lo : lo + 256].astype(np.longdouble), omega)
+        cos, sin = np.cos(phases), np.sin(phases)
+        out[lo : lo + 256] = (cos @ re + sin @ im) + 1j * (cos @ im - sin @ re)
+    return out.reshape(np.shape(t))
+
+
+def _gaussian_profile(w):
+    return np.exp(-0.5 * np.asarray(w) ** 2) + 0j
+
+
 def test_mode_input_matches_two_dimensional_quadrature():
     # F(t) is the (theta, omega) transform of r(0) g at mode 1; check the grid
     # sum against direct 2-D quadrature of (1/pi) cos(theta) h(omega) g(omega).
@@ -245,10 +262,11 @@ def test_mode_input_matches_two_dimensional_quadrature():
     def profile(w):
         return np.exp(-0.5 * (np.asarray(w) - 0.3) ** 2)
 
-    source = mode_input_from_grid(grid, profile)
+    dt = 0.1
+    source = mode_input_from_grid(grid, profile, dt)
 
     theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
-    for t in (0.0, 0.7, 2.0):
+    for t in (dt * 0, dt * 7, dt * 20):
         r0 = np.outer(np.cos(theta) / np.pi, profile(grid.nodes))
         integrand = r0 * dist.density(grid.nodes)[None, :]
         phases = np.exp(-1j * (theta[:, None] + t * grid.nodes[None, :]))
@@ -262,9 +280,9 @@ def test_mode_input_matches_two_dimensional_quadrature():
 def test_mode_input_matches_one_matrix_formula_in_bounded_memory():
     # 4001 times x 2048 nodes: one complex phase matrix would take 131 MB
     grid = build_grid(Cauchy(1.0), 2048)
-    amps = grid.weights * np.exp(-0.5 * grid.nodes**2)
+    amps = grid.weights * _gaussian_profile(grid.nodes)
     t = 1e-3 * np.arange(4001)
-    source = mode_input_from_grid(grid, lambda w: np.exp(-0.5 * np.asarray(w) ** 2) + 0j)
+    source = mode_input_from_grid(grid, _gaussian_profile, 1e-3)
 
     tracemalloc.start()
     try:
@@ -275,7 +293,64 @@ def test_mode_input_matches_one_matrix_formula_in_bounded_memory():
 
     full_matrix = t.size * grid.nodes.size * np.dtype(complex).itemsize
     assert peak < full_matrix / 4
-    assert np.array_equal(values, np.exp(-1j * np.multiply.outer(t, grid.nodes)) @ (amps + 0j))
+    # the factored product is not bitwise the one-matrix formula exp(-i t omega) @ a
+    # (evaluated here in row blocks to save memory), but both sit within
+    # rounding of the extended-precision sum
+    exact = _extended_sum(grid, amps, t)
+    one_matrix = np.concatenate(
+        [np.exp(-1j * np.multiply.outer(rows, grid.nodes)) @ amps for rows in np.array_split(t, 16)]
+    )
+    scale = np.sum(np.abs(amps))
+    assert np.max(np.abs(values - exact)) <= 1e-14 * scale
+    assert np.max(np.abs(one_matrix - exact)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [np.int64(300), np.arange(600)[::-1], np.array([129, 0, 5000, 127, 128, 129, -3, 777, 256])],
+    ids=["scalar", "reversed", "scattered"],
+)
+def test_mode_input_on_any_step_multiples_matches_extended_sum(steps):
+    grid = build_grid(Cauchy(1.0), 1024)
+    amps = grid.weights * _gaussian_profile(grid.nodes)
+    t = 2e-3 * steps
+    values = mode_input_from_grid(grid, _gaussian_profile, 2e-3)(t)
+    assert values.shape == np.shape(t)
+    assert np.max(np.abs(values - _extended_sum(grid, amps, t))) <= 1e-14 * np.sum(np.abs(amps))
+
+
+@pytest.mark.parametrize(
+    "t", [0.05, 0.7, [0.0, 0.1, 0.25], 0.1 * 3 + 1e-12, np.nan, np.inf, 1e300],
+    ids=["half-step", "rounded-quotient", "one-off-grid", "near-multiple", "nan", "inf", "huge"],
+)
+def test_mode_input_rejects_times_off_the_step_grid(t):
+    # 0.7 / 0.1 rounds to 7, but 7 * 0.1 is 0.7000000000000001, not 0.7
+    source = mode_input_from_grid(build_grid(Gaussian(1.0), 64), _gaussian_profile, 0.1)
+    with pytest.raises(ValueError, match="multiples of time_step"):
+        source(np.asarray(t))
+
+
+def test_mode_input_builds_anchors_in_chunks():
+    # 2e5 times 40 steps apart need 62,500 anchor columns (128 steps each):
+    # built all at once they would take 256 MB, more than a quarter of the
+    # 819 MB full phase matrix
+    grid = build_grid(Gaussian(1.0), 256)
+    t = 1e-6 * (40 * np.arange(200_000))
+    source = mode_input_from_grid(grid, _gaussian_profile, 1e-6)
+
+    tracemalloc.start()
+    try:
+        values = source(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert peak < t.size * grid.nodes.size * np.dtype(complex).itemsize / 4
+    amps = grid.weights * _gaussian_profile(grid.nodes)
+    picks = np.arange(0, t.size, 997)
+    assert np.max(np.abs(values[picks] - _extended_sum(grid, amps, t[picks]))) <= 1e-14 * np.sum(
+        np.abs(amps)
+    )
 
 
 def test_solve_rejects_non_vectorised_source():
