@@ -25,6 +25,7 @@ import numpy as np
 
 from . import dispersion, finiten, spectral, volterra
 from .distributions import (
+    MAX_DERIVATIVE_ORDER,
     bi_cauchy,
     build_grid,
     distribution_from_config,
@@ -42,10 +43,12 @@ EXPERIMENTS = ("stability", "kc-scan", "linear", "witness", "nonlinear", "finite
 # config validation
 
 
-def _integer(obj, key, context, default=None, minimum=1):
+def _integer(obj, key, context, default=None, minimum=1, maximum=None):
     val = obj.get(key, default)
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        raise ConfigError(f"{context}: {key} must be an integer >= {minimum}, got {val!r}")
+    valid = isinstance(val, int) and not isinstance(val, bool) and val >= minimum
+    if not valid or (maximum is not None and val > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{context}: {key} must be an integer {bound}, got {val!r}")
     return val
 
 
@@ -190,7 +193,7 @@ def run_stability(config, outdir):
     require_keys(config, {"distribution", "coupling"}, {"boundary_points"}, "stability")
     dist = _distribution(config["distribution"], "stability")
     coupling = _nonnegative(config, "coupling", "stability")
-    points = _integer(config, "boundary_points", "stability", default=2001)
+    points = _integer(config, "boundary_points", "stability", default=2001, maximum=10**6)
     report = dispersion.analyze_stability(dist, coupling, boundary_points=points)
     payload = {"formatVersion": FORMAT_VERSION, "config": config}
     payload.update(report.to_json_dict())
@@ -306,7 +309,7 @@ def run_linear(config, outdir):
     coupling = _nonnegative(config, "coupling", "linear")
     dt = _positive(config, "dt", "linear")
     horizon = _positive(config, "horizon", "linear")
-    weight_order = _integer(config, "weight_order", "linear", default=4, minimum=0)
+    weight_order = _integer(config, "weight_order", "linear", default=4, minimum=0, maximum=1000)
     window = _fit_window(config, horizon)
     with _constructing("linear"):
         source = _linear_source(config, dist, "linear")
@@ -395,7 +398,9 @@ def run_nonlinear(config, outdir):
     k_max = _integer(config, "k_max", "nonlinear")
     nodes = _integer(config, "grid_nodes", "nonlinear")
     output_every = _integer(config, "output_every", "nonlinear", default=10)
-    weight_order = _integer(config, "weight_order", "nonlinear", default=4, minimum=0)
+    weight_order = _integer(
+        config, "weight_order", "nonlinear", default=4, minimum=0, maximum=MAX_DERIVATIVE_ORDER
+    )
 
     # run checks the step-size bound and the weight order before it marches
     with _constructing("nonlinear"):

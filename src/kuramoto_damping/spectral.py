@@ -15,12 +15,15 @@ Free transport (the -i k omega term) is a pure phase rotation, so the stepper
 is an integrating-factor (Lawson) RK4: the transport factor is applied exactly
 and classical RK4 integrates only the coupling part.  With K = 0 the scheme
 reproduces the analytic rotation to roundoff, and the coupled dynamics
-converges at fourth order in the step size.
+converges at fourth order in the step size.  Each ``run`` or ``step`` call
+builds one stepper: the half- and full-step phase tables and a fixed set of
+(k_max, J) work arrays, reused by every step of that call.
 
 Sobolev diagnostics act on the transport-frame profile p = (unwound r) * g,
 whose mode amplitudes are c_k e^{+i k omega t} g(omega); theta derivatives are
 exact (i k)^a factors, omega derivatives use second-order finite differences
-on the nonuniform grid.
+on the nonuniform grid.  ``run`` builds those omega stencils once per run and
+hands them to every record; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -154,50 +157,99 @@ def order_parameter(state):
     return complex(np.dot(state.grid.weights, state.coeffs[0]))
 
 
-def _coupling_rhs(coeffs, weights, k_values, epsilon, coupling):
-    """Non-transport part of dc/dt; also returns the order parameter."""
-    R = np.dot(weights, coeffs[0])
-    v_plus = 0.5j * coupling * R
-    v_minus = -0.5j * coupling * np.conj(R)
-    shifted_down = np.zeros_like(coeffs)  # c_{k-1}: zero for k = 1 (c_0 = 0)
-    shifted_down[1:] = coeffs[:-1]
-    shifted_up = np.zeros_like(coeffs)  # c_{k+1}: zero for k = k_max (closure)
-    shifted_up[:-1] = coeffs[1:]
-    drive = epsilon * (v_plus * shifted_down + v_minus * shifted_up)
-    drive[0] += v_plus
-    return -1j * k_values[:, None] * drive, R
+def _coupling(y, state, rate, scale, out, work):
+    """Write ``scale`` times the non-transport part of dc/dt at ``y`` into ``out``.
+
+    ``rate`` is the column -i k for rows k = 1..k_max.  Row k is
+    a_k y_{k-1} + b_k y_{k+1}, with a_k = -i k eps v+ and b_k = -i k eps v-
+    (c_0 = 0 and the closure c_{k_max+1} = 0 drop the missing neighbours), and
+    row 1 also gets the constant -i v+.  ``work`` is scratch of y's shape.
+    """
+    R = np.dot(state.grid.weights, y[0])
+    v_plus = 0.5j * state.coupling * scale * R
+    v_minus = -0.5j * state.coupling * scale * np.conj(R)
+    np.multiply(y[:-1], rate[1:] * (state.epsilon * v_plus), out=out[1:])
+    out[0] = -1j * v_plus
+    np.multiply(y[1:], rate[:-1] * (state.epsilon * v_minus), out=work[:-1])
+    out[:-1] += work[:-1]
 
 
 def rhs(state):
     """Full time derivative of the mode coefficients (transport + coupling)."""
-    k_values = np.arange(1, state.k_max + 1, dtype=float)
-    coupling_part, _ = _coupling_rhs(
-        state.coeffs, state.grid.weights, k_values, state.epsilon, state.coupling
-    )
-    transport = -1j * k_values[:, None] * state.grid.nodes[None, :] * state.coeffs
-    return transport + coupling_part
+    rate = -1j * np.arange(1, state.k_max + 1, dtype=float)[:, None]
+    deriv = np.empty_like(state.coeffs)
+    _coupling(state.coeffs, state, rate, 1.0, deriv, np.empty_like(deriv))
+    return deriv + rate * state.grid.nodes[None, :] * state.coeffs
 
 
-def _phases(state, dt):
-    k_values = np.arange(1, state.k_max + 1, dtype=float)
-    lam = -1j * k_values[:, None] * state.grid.nodes[None, :]
-    return np.exp(lam * (0.5 * dt)), np.exp(lam * dt)
+class _LawsonStepper:
+    """Integrating-factor (Lawson) RK4 steps of one state at one step size.
 
+    Built once per ``run`` or ``step`` call.  It holds the transport factors
+    P = exp(-i k omega dt/2) and Q = exp(-i k omega dt) and a fixed set of
+    (k_max, J) work arrays, and marches its own copy of the coefficients, so
+    no array a caller already holds is written.  With N the coupling part of
+    dc/dt, one step is
 
-def _advance(state, dt, p_half, p_full):
-    """One integrating-factor RK4 step in place, then the blowup guard.
+        k1 = N(c),  k2 = N(P (c + dt/2 k1)),  k3 = N(P c + dt/2 k2),
+        k4 = N(Q c + dt P k3),
+        c <- Q c + dt/6 (Q k1 + 2 P (k2 + k3) + k4),
 
-    ``p_half`` and ``p_full`` are the transport factors from ``_phases``.
+    with each stage scalar folded into the coupling coefficients.  The update
+    applies Q itself, not P twice, and adds the coupling increment to Q c last,
+    so free transport stays exact and c is rounded as in the plain formula.
     """
-    k_values = np.arange(1, state.k_max + 1, dtype=float)
-    n = lambda c: _coupling_rhs(c, state.grid.weights, k_values, state.epsilon, state.coupling)[0]
-    coeffs = state.coeffs
-    k1 = n(coeffs)
-    k2 = n(p_half * (coeffs + 0.5 * dt * k1))
-    k3 = n(p_half * coeffs + 0.5 * dt * k2)
-    k4 = n(p_full * coeffs + dt * (p_half * k3))
-    state.coeffs = p_full * coeffs + dt / 6.0 * (p_full * k1 + 2.0 * p_half * (k2 + k3) + k4)
-    state.time += dt
+
+    def __init__(self, state, dt):
+        self.state = state
+        self.dt = dt
+        self.rate = -1j * np.arange(1, state.k_max + 1, dtype=float)[:, None]
+        lam = self.rate * state.grid.nodes[None, :]
+        self.p_half = np.exp(lam * (0.5 * dt))
+        self.p_full = np.exp(lam * dt)
+        self.coeffs = np.array(state.coeffs, dtype=complex)
+        self.stage, self.slope, self.total, self.middle, self.rotated, self.work = (
+            np.empty_like(self.coeffs) for _ in range(6)
+        )
+        state.coeffs = self.coeffs
+
+    def advance(self):
+        """One step in place, then the blowup guard."""
+        state, dt, rate, work = self.state, self.dt, self.rate, self.work
+        p, c, y, s = self.p_half, self.coeffs, self.stage, self.slope
+        acc, mid, u = self.total, self.middle, self.rotated
+        _coupling(c, state, rate, 0.5 * dt, s, work)  # s = dt/2 k1
+        np.add(c, s, out=y)
+        np.multiply(p, y, out=y)
+        np.multiply(self.p_full, s, out=acc)
+        _coupling(y, state, rate, 0.5 * dt, mid, work)  # mid = dt/2 k2
+        np.multiply(p, c, out=u)
+        np.add(u, mid, out=y)
+        _coupling(y, state, rate, 0.5 * dt, s, work)  # s = dt/2 k3
+        mid += s
+        np.add(s, s, out=y)
+        y += u
+        np.multiply(p, y, out=y)
+        np.multiply(p, mid, out=mid)
+        acc += mid
+        acc += mid
+        _coupling(y, state, rate, 0.5 * dt, s, work)  # s = dt/2 k4
+        acc += s
+        acc *= 1.0 / 3.0  # dt/6 (Q k1 + 2 P (k2 + k3) + k4)
+        np.multiply(self.p_full, c, out=c)
+        c += acc
+        state.time += dt
+        _check_blowup(state)
+
+
+def _check_blowup(state):
+    """Raise BlowupDetected when max |c| is not finite or exceeds BLOWUP_GUARD.
+
+    sum |c|^2 bounds max |c|^2, so the exact modulus is computed only when
+    that one reduction exceeds the guard squared or is not finite.
+    """
+    if np.vdot(state.coeffs, state.coeffs).real <= BLOWUP_GUARD**2:
+        return
     peak = float(np.max(np.abs(state.coeffs)))
     if not math.isfinite(peak) or peak > BLOWUP_GUARD:
         raise BlowupDetected(f"mode amplitude reached {peak:.3e} at t = {state.time:.3f}")
@@ -205,7 +257,7 @@ def _advance(state, dt, p_half, p_full):
 
 def step(state, dt):
     """Advance by one integrating-factor RK4 step (transport exact)."""
-    _advance(state, dt, *_phases(state, dt))
+    _LawsonStepper(state, dt).advance()
     return state
 
 
@@ -252,7 +304,10 @@ def run(
     if time_step > bound * (1.0 + 1e-12):
         raise ValueError(f"time_step {time_step} exceeds stability bound {bound:.4g}")
     steps = int(round(horizon / time_step))
-    phases = _phases(state, time_step)
+    stepper = _LawsonStepper(state, time_step)
+    stencils = None
+    if collect_diagnostics:
+        stencils = [_stencils(state.grid.nodes, b) for b in range(1, weight_order + 1)]
 
     wanted = sorted(set(float(t) for t in snapshot_times))
     times, orders = [], []
@@ -265,7 +320,7 @@ def run(
         times.append(t)
         orders.append(R)
         if collect_diagnostics:
-            over, low = sobolev_diagnostics(state, weight_order)
+            over, low = sobolev_diagnostics(state, weight_order, stencils)
             diag[0].append(over)
             diag[1].append(low)
         if wanted and abs(t - wanted[0]) <= 0.5 * time_step * output_every:
@@ -274,7 +329,7 @@ def run(
 
     record()
     for i in range(1, steps + 1):
-        _advance(state, time_step, *phases)
+        stepper.advance()
         if i % output_every == 0 or i == steps:
             record()
 
@@ -359,16 +414,18 @@ def _stencils(nodes, order):
     return idx, _fornberg_weights(sten, nodes, order)[:, :, order]
 
 
-def _derivative_amplitudes(grid, profile, order):
+def _derivative_amplitudes(grid, profile, order, stencils=None):
     """sum_j wbar_j (1 + omega_j^2) |d^b p_k / d omega^b|^2 for b = 0..order.
 
     Returns shape (order + 1, k_max): one row per derivative order.
+    ``stencils``, when given, holds ``_stencils(grid.nodes, b)`` for
+    b = 1..order; otherwise they are built here.
     """
     profile = np.asarray(profile)
     weight = grid.bare_weights * (1.0 + grid.nodes**2)
     amps = [np.abs(profile) ** 2 @ weight]
     for b in range(1, order + 1):
-        idx, W = _stencils(grid.nodes, b)
+        idx, W = stencils[b - 1] if stencils is not None else _stencils(grid.nodes, b)
         amps.append(np.abs((profile[:, idx] * W).sum(-1)) ** 2 @ weight)
     return np.array(amps)
 
@@ -393,16 +450,17 @@ def profile_sobolev_norm(grid, profile, order):
     return _norm_from_amplitudes(_derivative_amplitudes(grid, profile, order), order)
 
 
-def sobolev_diagnostics(state, order):
+def sobolev_diagnostics(state, order, stencils=None):
     """The two profile components of the bootstrap at the current time.
 
     Returns (||p||_{H^order} / (1+t), ||p||_{H^{order-2}}); the third,
     (1+t)^order |R|, is ``SimResult.weighted_abs``.  Both norms share one set
-    of omega derivatives.
+    of omega derivatives.  ``run`` passes the omega stencils for orders
+    1..order, built once per run; without them they are built per call.
     """
     if order < 2:
         raise ValueError(f"diagnostics need order >= 2, got {order}")
-    amps = _derivative_amplitudes(state.grid, unwound_profile(state), order)
+    amps = _derivative_amplitudes(state.grid, unwound_profile(state), order, stencils)
     high = _norm_from_amplitudes(amps, order)
     return high / (1.0 + state.time), _norm_from_amplitudes(amps, order - 2)
 

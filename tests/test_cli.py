@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kuramoto_damping.cli import main
+from kuramoto_damping.distributions import MAX_DERIVATIVE_ORDER
 
 
 def _write_config(tmp_path, name, payload):
@@ -362,6 +363,15 @@ _VALID = {
             id="stability-distribution-delta-huge-int",
         ),
         pytest.param("linear", "fit_window", [0.0, 10**400], id="linear-fit_window-huge-int"),
+        # integer keys have a maximum as well as a minimum
+        pytest.param("linear", "weight_order", 1001, id="linear-weight_order-above-max"),
+        pytest.param("linear", "weight_order", 10**400, id="linear-weight_order-huge-int"),
+        pytest.param("nonlinear", "weight_order", 9, id="nonlinear-weight_order-above-max"),
+        pytest.param("nonlinear", "weight_order", 10**400, id="nonlinear-weight_order-huge-int"),
+        pytest.param("stability", "boundary_points", 10**6 + 1,
+                     id="stability-boundary_points-above-max"),
+        pytest.param("stability", "boundary_points", 10**400,
+                     id="stability-boundary_points-huge-int"),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):
@@ -372,6 +382,17 @@ def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, exper
     assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, weight_order", [("linear", 1000), ("nonlinear", MAX_DERIVATIVE_ORDER)]
+)
+def test_weight_order_maximum_is_accepted(tmp_path, experiment, weight_order):
+    config = dict(_VALID[experiment](), weight_order=weight_order)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "R.csv").exists()
 
 
 def _csv_input(tmp_path, rows):

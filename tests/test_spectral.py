@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from kuramoto_damping import spectral
 from kuramoto_damping.distributions import Cauchy, Gaussian, build_grid
 from kuramoto_damping.exceptions import BlowupDetected, GridTooCoarse, InvalidPerturbation
 from kuramoto_damping.spectral import (
@@ -209,6 +210,117 @@ def test_blowup_guard_trips():
         step(state, 0.005)
 
 
+def _plain_lawson_rk4(coeffs, grid, epsilon, coupling, dt, steps):
+    """Reference march: the integrating-factor RK4 formula written out directly."""
+    k = np.arange(1, coeffs.shape[0] + 1)[:, None]
+    half = np.exp(-1j * k * grid.nodes * (0.5 * dt))
+    full = np.exp(-1j * k * grid.nodes * dt)
+
+    def coupling_part(c):
+        R = np.sum(grid.weights * c[0])
+        v_plus, v_minus = 0.5j * coupling * R, -0.5j * coupling * np.conj(R)
+        zero = np.zeros_like(c[:1])
+        below = np.concatenate([zero, c[:-1]])  # c_{k-1}, with c_0 = 0
+        above = np.concatenate([c[1:], zero])  # c_{k+1}, with c_{k_max+1} = 0
+        drive = epsilon * (v_plus * below + v_minus * above)
+        drive[0] += v_plus
+        return -1j * k * drive
+
+    c = coeffs.copy()
+    for _ in range(steps):
+        k1 = coupling_part(c)
+        k2 = coupling_part(half * (c + 0.5 * dt * k1))
+        k3 = coupling_part(half * c + 0.5 * dt * k2)
+        k4 = coupling_part(full * c + dt * half * k3)
+        c = full * c + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4)
+    return c
+
+
+@pytest.mark.parametrize("k_max", [2, 8])
+@pytest.mark.parametrize("coupling_over_kc", [0.6, 1.5])
+def test_stepper_matches_plain_lawson_rk4(k_max, coupling_over_kc):
+    # k_max = 2 leaves one row in each shifted product of the coupling term
+    dist, dt, steps = Gaussian(1.0), 0.01, 300
+    grid = build_grid(dist, 256)
+    coupling = coupling_over_kc * np.sqrt(8.0 / np.pi)  # K_c = sqrt(8/pi) for sigma = 1
+
+    def start():
+        return initialize(
+            dist, grid, k_max, 0.3, coupling,
+            modes={1: lambda w: 0.5 * _gauss_profile(w), 2: lambda w: 0.2j * _ones(w)},
+        )
+
+    expected = _plain_lawson_rk4(start().coeffs, grid, 0.3, coupling, dt, steps)
+    scale = np.max(np.abs(expected))
+    marched = start()
+    run(marched, dt, steps * dt, output_every=10**9, collect_diagnostics=False)
+    stepped = start()
+    for _ in range(steps):
+        step(stepped, dt)
+    assert np.max(np.abs(marched.coeffs - expected)) <= 1e-13 * scale
+    assert np.max(np.abs(stepped.coeffs - expected)) <= 1e-13 * scale
+
+
+def test_step_and_run_never_write_arrays_the_caller_holds(gaussian_grid):
+    state = initialize(
+        Gaussian(1.0), gaussian_grid, 4, 1e-2, 1.0,
+        modes={1: _gauss_profile, 2: lambda w: 0.3 * _gauss_profile(w)},
+    )
+    held = {"initial coeffs": state.coeffs}
+    res = run(
+        state, 0.01, 3.0, output_every=10, collect_diagnostics=False,
+        snapshot_times=(1.0, 2.0, 3.0),
+    )
+    held.update({f"snapshot {t}": snap for t, snap in res.snapshots.items()})
+    held["coeffs after run"] = state.coeffs
+    held["unwound profile"] = unwound_profile(state)
+    values = {name: array.copy() for name, array in held.items()}
+    step(state, 0.01)
+    run(state, 0.01, 1.0, output_every=10, collect_diagnostics=False, snapshot_times=(0.5,))
+    step(state, 0.01)
+    assert state.time == pytest.approx(4.02, abs=1e-12)
+    for name, array in held.items():
+        assert np.array_equal(array, values[name]), name
+    assert not np.array_equal(state.coeffs, values["coeffs after run"])
+    snaps = [values[f"snapshot {t}"] for t in sorted(res.snapshots)]
+    assert len(snaps) == 3
+    assert not any(np.array_equal(a, b) for a, b in zip(snaps[:-1], snaps[1:]))
+
+
+_GUARD = 1e6
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        pytest.param({(0, 7): 0.9 * _GUARD}, id="one-above-half-guard"),
+        pytest.param({(0, 7): 0.7 * _GUARD * (1 + 1j)}, id="both-parts-above-half-guard"),
+        pytest.param({(0, j): -0.9j * _GUARD for j in range(40)}, id="many-near-guard"),
+        pytest.param({(2, 7): _GUARD * (1 + 1e-6)}, id="just-above-guard"),
+        pytest.param({(1, 7): -_GUARD * (1 + 1e-6)}, id="negative-just-above-guard"),
+        pytest.param({(3, 7): -1j * _GUARD * (1 + 1e-6)}, id="imaginary-just-above-guard"),
+        pytest.param({(2, 7): np.nan}, id="nan"),
+    ],
+)
+def test_blowup_guard_matches_exact_test(entries):
+    # At K = 0 a step only rotates each coefficient, so the exact test can be
+    # applied to the rotated initial state: same verdict, same message.
+    grid = build_grid(Gaussian(1.0), 128)
+    state = initialize(Gaussian(1.0), grid, 4, 1e-3, 0.0, modes={1: _ones})
+    for (row, col), value in entries.items():
+        state.coeffs[row, col] = value
+    dt = 0.005
+    k = np.arange(1, 5)[:, None]
+    peak = float(np.max(np.abs(np.exp(-1j * k * grid.nodes * dt) * state.coeffs)))
+    if math.isfinite(peak) and peak <= _GUARD:
+        step(state, dt)
+        assert float(np.max(np.abs(state.coeffs))) == pytest.approx(peak, rel=1e-12)
+    else:
+        with pytest.raises(BlowupDetected) as excinfo:
+            step(state, dt)
+        assert str(excinfo.value) == f"mode amplitude reached {peak:.3e} at t = {dt:.3f}"
+
+
 def test_truncation_robust_at_small_epsilon(gaussian_grid):
     results = {}
     for k_max in (8, 16):  # dt sized for the k_max = 16 transport bound
@@ -251,6 +363,29 @@ def test_norms_frozen_under_free_transport(gaussian_grid):
     high1 *= 1.0 + state.time
     assert high1 == pytest.approx(high0, rel=1e-8)
     assert low1 == pytest.approx(low0, rel=1e-8)
+
+
+@pytest.mark.parametrize("weight_order", [2, 5])
+def test_run_records_diagnostics_through_module_attribute(monkeypatch, gaussian_grid, weight_order):
+    # run looks sobolev_diagnostics up on the module once per record (the
+    # benchmark's per-layer counts wrap it there), and the stencils it builds
+    # once per run give bitwise the values of a stand-alone call
+    original = spectral.sobolev_diagnostics
+    calls = []
+
+    def counted(state, order, *args):
+        values = original(state, order, *args)
+        calls.append((state.time, values, original(state, order)))
+        return values
+
+    monkeypatch.setattr(spectral, "sobolev_diagnostics", counted)
+    state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, modes={1: _gauss_profile})
+    res = run(state, 0.01, 1.0, output_every=30, weight_order=weight_order)
+    assert [t for t, _, _ in calls] == list(res.times)
+    for _, values, alone in calls:
+        assert values == alone
+    assert list(res.diag_norm_over_time) == [v[0] for _, v, _ in calls]
+    assert list(res.diag_norm_low) == [v[1] for _, v, _ in calls]
 
 
 def test_profile_norm_matches_direct_quadrature(gaussian_grid):
