@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -310,6 +311,14 @@ def run_linear(config, outdir):
     dt = _positive(config, "dt", "linear")
     horizon = _positive(config, "horizon", "linear")
     weight_order = _integer(config, "weight_order", "linear", default=4, minimum=0, maximum=1000)
+    # R.csv's (1+t)^n column must stay finite up to the last time written,
+    # which lies within dt/2 of the horizon.
+    if weight_order * math.log1p(horizon + 0.5 * dt) > math.log(sys.float_info.max):
+        raise ConfigError(
+            f"linear: (1+t)^{weight_order} overflows a float before the last time written; "
+            f"need weight_order * ln(1 + horizon + dt/2) <= ln(max float) = "
+            f"{math.log(sys.float_info.max):.4f}"
+        )
     window = _fit_window(config, horizon)
     with _constructing("linear"):
         source = _linear_source(config, dist, "linear")

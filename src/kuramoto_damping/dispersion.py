@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .distributions import Cauchy, Gaussian, fourier_moment
 from .exceptions import (
@@ -65,6 +65,8 @@ _PV_CORE = 1e-4  # below this s the principal-value integrand is its Taylor core
 # Winding contour: initial samples, refinement budget, chord / |D| ceiling.
 _WINDING_POINTS, _WINDING_MAX_POINTS, _WINDING_CHORD = 1025, 400_000, 0.05
 _SCAN_POINTS = 4001  # samples of Im L on the real axis when bracketing its zeros
+# Bracket width at which a zero of Im L counts as found: xtol + rtol |x|, as in brentq.
+_ZERO_XTOL, _ZERO_RTOL = 1e-14, 4.0 * np.finfo(float).eps
 # Newton on D: residual tolerance, iteration cap, central-difference step.
 _ROOT_TOL, _NEWTON_MAX_ITER, _DIFF_STEP = 1e-10, 100, 1e-6
 
@@ -329,24 +331,9 @@ def _boundary_imag_zeros(dist):
     span = halfspan + 12.0 * scale
     xs = np.linspace(loc - span, loc + span, _SCAN_POINTS)
     im = np.imag(laplace_transform(dist, xs))
-    zeros = []
-    for i in range(xs.size - 1):
-        a, b = im[i], im[i + 1]
-        if a == 0.0:
-            zeros.append(xs[i])
-        elif a * b < 0.0:
-            root = optimize.brentq(
-                lambda w: float(np.imag(laplace_transform(dist, w))),
-                xs[i],
-                xs[i + 1],
-                xtol=1e-14,
-                rtol=4.0 * np.finfo(float).eps,
-            )
-            zeros.append(root)
-    if im[-1] == 0.0:
-        zeros.append(xs[-1])
+    change = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
+    zeros = sorted([*xs[im == 0.0], *_refine_sign_changes(dist, xs[change], xs[change + 1])])
     # Deduplicate near-identical roots from adjacent brackets.
-    zeros = sorted(zeros)
     unique = []
     for z in zeros:
         if not unique or abs(z - unique[-1]) > 1e-8 * (1.0 + abs(z)):
@@ -354,6 +341,36 @@ def _boundary_imag_zeros(dist):
     if not unique:
         raise NoZeroFound("no real zero of the boundary criterion was found")
     return unique
+
+
+def _refine_sign_changes(dist, lo, hi):
+    """Refine every bracket [lo, hi] of a sign change of Im L at once.
+
+    Illinois steps: regula falsi, halving the value at an end that is kept twice
+    in a row.  A bracket that three steps have not halved is bisected, so every
+    bracket at least halves in four steps.  Stops, as brentq does, once each
+    bracket is at most 1e-14 + 4 eps |x| wide, and returns the midpoints.
+    """
+
+    def im(x):
+        return np.imag(laplace_transform(dist, x))
+
+    f_lo, f_hi = im(lo), im(hi)
+    kept_lo = kept_hi = np.zeros(lo.size, dtype=bool)
+    widths = [np.full(lo.size, np.inf)] * 3  # bracket widths of the last three steps
+    while np.any(hi - lo > _ZERO_XTOL + _ZERO_RTOL * np.maximum(np.abs(lo), np.abs(hi))):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        bisect = (hi - lo > 0.5 * widths[0]) | (x <= lo) | (x >= hi)
+        x = np.where(bisect, 0.5 * (lo + hi), x)
+        fx = im(x)
+        left = np.sign(fx) != np.sign(f_lo)  # the zero lies in [lo, x]
+        f_lo = np.where(left & kept_lo, 0.5 * f_lo, f_lo)
+        f_hi = np.where(~left & kept_hi, 0.5 * f_hi, f_hi)
+        lo, f_lo = np.where(left & (fx != 0.0), lo, x), np.where(left, f_lo, fx)
+        hi, f_hi = np.where(left, x, hi), np.where(left, fx, f_hi)
+        kept_lo, kept_hi = left, ~left
+        widths = widths[1:] + [hi - lo]
+    return [float(x) for x in 0.5 * (lo + hi)]
 
 
 def critical_coupling(dist):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .exceptions import ConfigError, Divergent, MassNotCovered, UnsupportedOrder
 
@@ -348,25 +348,111 @@ def fourier_moment(dist, n):
         horizon *= 2.0
 
     def integrand(t):
-        return t**n * abs(dist.fourier_transform(t))
+        return t**n * np.abs(dist.fourier_transform(t))
 
-    value, abserr = integrate.quad(integrand, 0.0, horizon, limit=800, epsabs=1e-12, epsrel=1e-11)
-    if abserr > 1e-6 * max(abs(value), 1.0):
-        raise Divergent(
-            f"moment integral of order {n} did not converge (value={value}, abserr={abserr})"
-        )
-    return value
+    return _gauss_kronrod(integrand, [0.0, horizon], epsabs=1e-12, epsrel=1e-11)
 
 
 def _real_line_integral(func, dist):
-    """Adaptive integral of ``func`` over the real line, split at the bulk."""
+    """Adaptive integral of ``func`` over the real line, split at the bulk and the centers."""
     loc, scale, halfspan = dist.location_hints()
     a = abs(loc) + halfspan + 12.0 * scale
-    interior_pts = sorted(c.location_hints()[0] for _, c in dist._components())
-    mid, _ = integrate.quad(func, -a, a, limit=600, points=interior_pts, epsabs=1e-13, epsrel=1e-11)
-    left, _ = integrate.quad(func, -np.inf, -a, limit=300, epsabs=1e-13, epsrel=1e-11)
-    right, _ = integrate.quad(func, a, np.inf, limit=300, epsabs=1e-13, epsrel=1e-11)
-    return mid + left + right
+    centers = {c.location_hints()[0] for _, c in dist._components()}
+    edges = [-np.inf, -a, *sorted(centers), a, np.inf]
+    return _gauss_kronrod(func, edges, epsabs=1e-13, epsrel=1e-11)
+
+
+# The nonnegative nodes of the 15-point Kronrod rule on [-1, 1], decreasing, and
+# their weights (QUADPACK qk15).  Every second node is a 7-point Gauss node.
+_KRONROD_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_KRONROD_HALF_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_GK_NODES = np.concatenate((-_KRONROD_HALF[:-1], _KRONROD_HALF[::-1]))
+_GK_WEIGHTS = np.concatenate((_KRONROD_HALF_WEIGHTS[:-1], _KRONROD_HALF_WEIGHTS[::-1]))
+# K15 - G7 as one weight vector over the 15 nodes.
+_GK_DIFFERENCE = _GK_WEIGHTS.copy()
+_GK_DIFFERENCE[1::2] -= np.polynomial.legendre.leggauss(7)[1]
+# Values at -1 and +1 of the degree-14 interpolant through the Kronrod nodes.
+_GK_END_VALUES = np.array([
+    [np.prod([(x - xk) / (xj - xk) for xk in _GK_NODES if xk != xj]) for x in (-1.0, 1.0)]
+    for xj in _GK_NODES
+])
+#: Largest number of panels the adaptive rule may hold before it gives up.
+_GK_MAX_PANELS = 20_000
+
+
+def _gauss_kronrod(func, edges, epsabs, epsrel):
+    """Globally adaptive 7/15-point Gauss-Kronrod integral of ``func`` over sorted ``edges``.
+
+    ``func`` maps an array of abscissae to real values.  An infinite first or last
+    edge maps its half-line onto s in [0, 1) by t = a -+ s/(1-s), a the finite end.
+    Each sweep calls ``func`` once, on the nodes and ends of all live panels.  A
+    panel's error estimate is |K15 - G7| plus the miss of the Kronrod interpolant
+    at the panel's ends, which catches a kink between an end and the outermost
+    node that both rules would step over.  The value is returned once the summed
+    estimates are within max(epsabs, epsrel |value|).  Until then a panel whose
+    estimate is within half its share of that tolerance (its fraction of the
+    parameter length) retires, and the others are bisected.  Raises Divergent
+    when the integrand is not finite or the panel cap is reached first.
+    """
+    panels = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if math.isinf(a):
+            panels.append((0.0, 1.0, b, -1.0))
+        elif math.isinf(b):
+            panels.append((0.0, 1.0, a, 1.0))
+        else:
+            panels.append((a, b, 0.0, 0.0))
+    lo, hi, anchor, side = np.array(panels, dtype=float).T
+    share = np.full(lo.size, 1.0 / lo.size)
+    done_value = done_error = 0.0
+    done_panels = 0
+    while True:
+        half = 0.5 * (hi - lo)
+        s = np.column_stack((0.5 * (hi + lo)[:, None] + half[:, None] * _GK_NODES, lo, hi))
+        t, jac = s.copy(), np.ones_like(s)
+        tail = side != 0.0
+        at_infinity = tail[:, None] & (s == 1.0)
+        if tail.any():
+            u = 1.0 / (1.0 - np.where(at_infinity, 0.0, s)[tail])
+            t[tail] = anchor[tail, None] + side[tail, None] * (u - 1.0)
+            jac[tail] = u * u
+        f = func(t.ravel()).reshape(t.shape) * jac
+        if not np.all(np.isfinite(f)):
+            raise Divergent("integrand is not finite at a quadrature node")
+        nodes, ends = f[:, :15], f[:, 15:]
+        end_miss = np.where(at_infinity[:, 15:], 0.0, np.abs(ends - nodes @ _GK_END_VALUES))
+        value = half * (nodes @ _GK_WEIGHTS)
+        error = half * (np.abs(nodes @ _GK_DIFFERENCE) + end_miss.sum(axis=1))
+        total = done_value + float(value.sum())
+        total_error = done_error + float(error.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        if total_error <= tol:
+            return total
+        ok = error <= 0.5 * tol * share
+        done_value += float(value[ok].sum())
+        done_error += float(error[ok].sum())
+        done_panels += int(ok.sum())
+        split = ~ok
+        if done_panels + 2 * int(split.sum()) > _GK_MAX_PANELS or not split.any():
+            raise Divergent(
+                f"adaptive quadrature did not converge within {_GK_MAX_PANELS} panels "
+                f"(value={total}, error estimate={total_error}, tolerance={tol})"
+            )
+        mid = 0.5 * (lo + hi)[split]
+        lo = np.concatenate((lo[split], mid))
+        hi = np.concatenate((mid, hi[split]))
+        anchor, side, share = (np.concatenate((v[split], v[split])) for v in (anchor, side, share))
+        share *= 0.5
 
 
 def sobolev_norm(dist, n):

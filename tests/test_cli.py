@@ -372,6 +372,9 @@ _VALID = {
                      id="stability-boundary_points-above-max"),
         pytest.param("stability", "boundary_points", 10**400,
                      id="stability-boundary_points-huge-int"),
+        # (1+t)^weight_order must stay finite up to the last time written
+        pytest.param("linear", "horizon", 1e78, id="linear-weight-factor-overflow"),
+        pytest.param("linear", "horizon", 1e300, id="linear-weight-factor-overflow-far"),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):
@@ -393,6 +396,25 @@ def test_weight_order_maximum_is_accepted(tmp_path, experiment, weight_order):
     cfg = _write_config(tmp_path, "c.json", config)
     assert main([experiment, "--config", cfg, "--out", str(out)]) == 0
     assert (out / "R.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "horizon, code",
+    [(1.03, 0), (1.032, 2), (5.0, 2)],
+    ids=["just-below-limit", "just-above-limit", "horizon-5"],
+)
+def test_linear_weight_factor_limit(tmp_path, capsys, horizon, code):
+    # 1000 ln(1 + horizon + dt/2) against ln(max float) = 709.78: 709.0 and 709.99
+    config = dict(_VALID["linear"](), weight_order=1000, dt=0.004, horizon=horizon)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main(["linear", "--config", cfg, "--out", str(out)]) == code
+    if code == 0:
+        weighted = np.loadtxt(out / "R.csv", delimiter=",", skiprows=1)[:, 4]
+        assert np.all(np.isfinite(weighted))
+    else:
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
 
 
 def _csv_input(tmp_path, rows):

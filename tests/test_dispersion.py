@@ -342,3 +342,73 @@ def test_report_root_equals_find_unstable_root(dist):
 def test_report_marginal_at_threshold():
     rep = analyze_stability(Cauchy(1.0), 2.0)
     assert rep.verdict == "MarginallyUnstable"
+
+
+# ---------------------------------------------------------------------------
+# boundary zeros of Im L
+
+
+@pytest.mark.parametrize("delta, omega0", [(1.0, 2.0), (0.5, 1.4), (0.8, 1.6), (1.0, 0.5)])
+def test_two_bump_boundary_zeros_closed_form(delta, omega0):
+    # Im L vanishes at 0 and, once omega0 > delta, at +-sqrt(omega0^2 - delta^2)
+    side = [np.sqrt(omega0**2 - delta**2)] if omega0 > delta else []
+    expected = sorted([0.0, *side, *(-s for s in side)])
+    zeros = dispersion._boundary_imag_zeros(bi_cauchy(delta, omega0))
+    assert len(zeros) == len(expected)
+    np.testing.assert_allclose(zeros, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [bi_cauchy(1.0, 2.0), bi_cauchy(0.2, 5.0),
+     Mixture((0.3, 0.7), (Cauchy(0.5, -2.0), Gaussian(0.6, 1.5)))],
+    ids=["bi-cauchy-1-2", "bi-cauchy-0.2-5", "cauchy-gauss"],
+)
+def test_boundary_zeros_match_brentq(dist):
+    from scipy import optimize
+
+    def im(w):
+        return float(np.imag(laplace_transform(dist, w)))
+
+    zeros = dispersion._boundary_imag_zeros(dist)
+    assert len(zeros) >= 2
+    for z in zeros:
+        if im(z) == 0.0:
+            continue
+        ref = optimize.brentq(im, z - 1e-3, z + 1e-3, xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+        assert abs(z - ref) <= 1e-13
+
+
+# The bench's stability configurations at frequency scales 1 and 1.25, with the
+# reports the scipy quad/brentq implementation gave: (verdict, winding number,
+# K_c, l1SufficientCheck).
+_REFERENCE_REPORTS = {
+    ("cauchy", 1.0, 0.7): ("Stable", 0, 2.0, True),
+    ("cauchy", 1.0, 1.3): ("Unstable", 1, 2.0, False),
+    ("gaussian", 1.0, 0.7): ("Stable", 0, 1.5957691216057308, True),
+    ("gaussian", 1.0, 1.3): ("Unstable", 1, 1.5957691216057308, False),
+    ("two-bump", 1.0, 0.7): ("Stable", 0, 4.000000000000004, True),
+    ("two-bump", 1.0, 1.3): ("Unstable", 2, 4.000000000000004, False),
+    ("cauchy", 1.25, 0.7): ("Stable", 0, 2.5, True),
+    ("cauchy", 1.25, 1.3): ("Unstable", 1, 2.5, False),
+    ("gaussian", 1.25, 0.7): ("Stable", 0, 1.9947114020071635, True),
+    ("gaussian", 1.25, 1.3): ("Unstable", 1, 1.9947114020071635, False),
+    ("two-bump", 1.25, 0.7): ("Stable", 0, 4.999999999999996, True),
+    ("two-bump", 1.25, 1.3): ("Unstable", 2, 4.999999999999996, False),
+}
+_BENCH_FAMILIES = {
+    "cauchy": lambda s: (Cauchy(s), 2.0 * s),
+    "gaussian": lambda s: (Gaussian(s), np.sqrt(8.0 / np.pi) * s),
+    "two-bump": lambda s: (bi_cauchy(s, 2.0 * s), 4.0 * s),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_REPORTS), ids=lambda c: "-".join(map(str, c)))
+def test_bench_stability_reports_match_reference(case):
+    family, scale, factor = case
+    dist, kc = _BENCH_FAMILIES[family](scale)
+    verdict, winding, kc_ref, l1 = _REFERENCE_REPORTS[case]
+    report = analyze_stability(dist, factor * kc).to_json_dict()
+    assert (report["verdict"], report["windingNumber"]) == (verdict, winding)
+    assert report["criticalCoupling"] == pytest.approx(kc_ref, rel=1e-12, abs=0.0)
+    assert report["diagnostics"]["l1SufficientCheck"] is l1

@@ -8,6 +8,7 @@ import pytest
 from kuramoto_damping.distributions import (
     MAX_DERIVATIVE_ORDER,
     Cauchy,
+    FrequencyDistribution,
     Gaussian,
     Mixture,
     bi_cauchy,
@@ -17,7 +18,7 @@ from kuramoto_damping.distributions import (
     fourier_moment,
     sobolev_norm,
 )
-from kuramoto_damping.exceptions import UnsupportedOrder
+from kuramoto_damping.exceptions import Divergent, UnsupportedOrder
 
 from conftest import fourier_oracle
 
@@ -191,6 +192,45 @@ def test_moments_match_quadrature_oracle(dist, n):
         lambda t: t**n * abs(dist.fourier_transform(t)), 0, 120.0, limit=800
     )[0]
     assert val == pytest.approx(oracle, rel=1e-7)
+
+
+def _two_bump_abs_moment(delta, omega0):
+    """int_0^inf e^{-delta t} |cos(omega0 t)| dt, summed over the period T = pi/omega0.
+
+    On one period the integral is I0 = int_0^T e^{-delta t} |cos(omega0 t)| dt, split
+    where the cosine changes sign at T/2; the periods scale by e^{-delta T}.
+    """
+    half = math.exp(-delta * math.pi / (2.0 * omega0))
+    i0 = (2.0 * omega0 * half + delta * (1.0 - half * half)) / (delta**2 + omega0**2)
+    return i0 / (1.0 - half * half)
+
+
+@pytest.mark.parametrize(
+    "delta, omega0", [(1.0, 2.0), (1.0, 0.5), (2.0, 1.0), (1.0, 1.0), (0.3, 5.0), (0.1, 3.0)]
+)
+def test_two_bump_moment_zero_matches_closed_form(delta, omega0):
+    # ghat(t) = e^{-delta t} cos(omega0 t): a kink of |ghat| every pi/omega0
+    assert fourier_moment(bi_cauchy(delta, omega0), 0) == pytest.approx(
+        _two_bump_abs_moment(delta, omega0), rel=1e-10
+    )
+
+
+class _RoughTransform(FrequencyDistribution):
+    """A |ghat| that jumps on every scale, so no polynomial panel rule resolves it."""
+
+    def fourier_transform(self, t):
+        return (np.abs(np.sin(1e4 * np.asarray(t)) * 43758.5453) % 1.0) + 0j
+
+    def fourier_tail_integral(self, t0):
+        return 0.0
+
+    def location_hints(self):
+        return (0.0, 1.0, 0.0)
+
+
+def test_moment_that_cannot_converge_raises_divergent():
+    with pytest.raises(Divergent):
+        fourier_moment(_RoughTransform(), 0)
 
 
 # ---------------------------------------------------------------------------

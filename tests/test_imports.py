@@ -1,0 +1,46 @@
+"""Import graph of the package: what `import kuramoto_damping.cli` loads."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kuramoto_damping
+
+PACKAGE_DIR = Path(kuramoto_damping.__file__).parent
+
+# scipy subpackages the package must not load: scipy.optimize and
+# scipy.integrate pull in scipy.linalg and scipy.sparse, about 0.3 s per CLI call.
+_EXCLUDED = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.sparse")
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    probe = (
+        "import sys, kuramoto_damping.cli; "
+        f"print(' '.join(m for m in {_EXCLUDED!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.split() == []
+
+
+def test_no_scipy_import_inside_a_function():
+    # a deferred import would hide from the sys.modules check above and move its
+    # cost into the call that reaches it
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                found += [f"{path.name}:{node.lineno}" for n in names if n.startswith("scipy")]
+    assert found == []
