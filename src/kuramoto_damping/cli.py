@@ -30,7 +30,6 @@ from .distributions import (
     bi_cauchy,
     build_grid,
     distribution_from_config,
-    distribution_to_config,
     require_keys,
 )
 from .exceptions import ConfigError, KuramotoDampingError, MismatchedConfigs
@@ -151,7 +150,8 @@ def _fmt(x):
 
 
 def _write_csv(path, header, columns):
-    rows = zip(*columns)
+    """One row per entry; each column (an array or a list) becomes Python values once."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -176,13 +176,7 @@ def _order_parameter_csv(path, times, values, weight_order):
     _write_csv(
         path,
         ["t", "Re(R)", "Im(R)", "abs(R)", f"(1+t)^{weight_order}*abs(R)"],
-        [
-            [float(t) for t in times],
-            [float(v) for v in values.real],
-            [float(v) for v in values.imag],
-            [float(v) for v in np.abs(values)],
-            [float(v) for v in weighted],
-        ],
+        [times, values.real, values.imag, np.abs(values), weighted],
     )
 
 
@@ -221,18 +215,14 @@ def run_kc_scan(config, outdir):
         return bi_cauchy(value, omega0)
 
     with _constructing("kc-scan"):
-        rows = [(v, *dispersion.critical_coupling(family(v))) for v in values]
+        kcs, crits = zip(*(dispersion.critical_coupling(family(v)) for v in values))
 
     _write_csv(
         outdir / "kc_scan.csv",
         ["param", "K_c", "critical_omegas"],
-        [
-            [r[0] for r in rows],
-            [float(r[1]) for r in rows],
-            [";".join(_fmt(float(w)) for w in r[2]) for r in rows],
-        ],
+        [values, kcs, [";".join(_fmt(w) for w in crit) for crit in crits]],
     )
-    return {"rows": len(rows)}
+    return {"rows": len(values)}
 
 
 def _linear_source(config, dist, context):
@@ -370,11 +360,7 @@ def run_witness(config, outdir):
     _write_csv(
         outdir / "witness_F.csv",
         ["t", "Re(F)", "Im(F)"],
-        [
-            [float(t) for t in solution.times],
-            [float(v) for v in f_vals.real],
-            [float(v) for v in f_vals.imag],
-        ],
+        [solution.times, f_vals.real, f_vals.imag],
     )
     _order_parameter_csv(outdir / "R.csv", solution.times, solution.values, 0)
 
@@ -430,12 +416,7 @@ def run_nonlinear(config, outdir):
     _write_csv(
         outdir / "diagnostics.csv",
         ["t", f"(1+t)^{weight_order}*abs(R)", f"H{weight_order}/(1+t)", f"H{weight_order - 2}"],
-        [
-            [float(t) for t in result.times],
-            [float(v) for v in result.weighted_abs],
-            [float(v) for v in result.diag_norm_over_time],
-            [float(v) for v in result.diag_norm_low],
-        ],
+        [result.times, result.weighted_abs, result.diag_norm_over_time, result.diag_norm_low],
     )
 
     initial_norm = state.initial_weighted_norm
@@ -492,12 +473,7 @@ def run_finite_n(config, outdir):
     _write_csv(
         outdir / "zn.csv",
         ["t", "Re(Z)", "Im(Z)", "abs(Z)"],
-        [
-            [float(t) for t in times],
-            [float(v) for v in orders.real],
-            [float(v) for v in orders.imag],
-            [float(v) for v in np.abs(orders)],
-        ],
+        [times, orders.real, orders.imag, np.abs(orders)],
     )
     summary = {"oscillators": count}
     if cont is not None:
@@ -541,12 +517,7 @@ def _comparison_artifacts(outdir, config, epsilon, t_fin, z, t_cont, r):
     _write_csv(
         outdir / "comparison.csv",
         ["t", "abs(Z)", "eps*abs(R)", "abs(conj(Z)-eps*R)"],
-        [
-            [float(t) for t in t_fin],
-            [float(v) for v in np.abs(z)],
-            [float(v) for v in epsilon * np.abs(r_interp)],
-            [float(v) for v in diff],
-        ],
+        [t_fin, np.abs(z), epsilon * np.abs(r_interp), diff],
     )
     payload = {
         "formatVersion": FORMAT_VERSION,

@@ -29,9 +29,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from .distributions import Cauchy, Gaussian, fourier_moment
+from .distributions import fourier_moment
 from .exceptions import (
     CrossCheckFailure,
     DomainError,
@@ -79,23 +78,11 @@ def _check_lower_half(omega):
 def laplace_transform(dist, omega):
     """L(w) = int_0^inf ghat(t) exp(-i w t) dt in closed form, Im(w) <= 0.
 
-    Cauchy components give 1 / (width + i (w + center)); Gaussian components
-    reduce to the Faddeeva function, evaluated in its reliable half plane
-    because Im(w) <= 0.
+    The closed form is the family's own ``laplace_transform``.
     """
     _check_lower_half(omega)
-    omega = np.asarray(omega, dtype=complex)
-    total = np.zeros_like(omega)
-    for weight, comp in dist._components():
-        if isinstance(comp, Cauchy):
-            total += weight / (comp.half_width + 1j * (omega + comp.center))
-        elif isinstance(comp, Gaussian):
-            z = omega + comp.center
-            s = comp.std_dev
-            total += weight * math.sqrt(np.pi / 2.0) / s * special.wofz(-z / (s * math.sqrt(2.0)))
-        else:  # pragma: no cover - families are closed under _components
-            raise TypeError(f"no closed-form transform for {type(comp).__name__}")
-    return total if total.ndim else complex(total)
+    total = dist.laplace_transform(np.asarray(omega, dtype=complex))
+    return total if np.ndim(total) else complex(total)
 
 
 def laplace_transform_quadrature(dist, omega, horizon):
@@ -260,39 +247,33 @@ def _winding_details(relation):
     loc, scale, halfspan = relation.dist.location_hints()
     # |D - 1| <= (K/2)/|w - span| for Cauchy tails: keep closure arcs small.
     omega_max = abs(loc) + halfspan + 20.0 * scale + 100.0 * max(relation.coupling, 1.0)
-    xs = list(np.linspace(-omega_max, omega_max, _WINDING_POINTS))
-    ds = list(relation.evaluate(np.array(xs)))
-    total_points = len(xs)
+    xs = np.linspace(-omega_max, omega_max, _WINDING_POINTS)
+    dvals = relation.evaluate(xs)
 
-    def ok(d0, d1):
-        jump = abs(cmath.phase(d1 / d0)) if d0 != 0 and d1 != 0 else np.inf
-        chord = abs(d1 - d0)
-        return jump < 0.5 * np.pi and chord <= _WINDING_CHORD * min(abs(d0), abs(d1))
-
-    # Midpoint refinement with an explicit work queue; floors on interval
-    # width catch curves that genuinely pass through the origin.
-    out_d = [ds[0]]
-    stack = [(xs[i], ds[i], xs[i + 1], ds[i + 1]) for i in range(len(xs) - 1)][::-1]
+    # Midpoint refinement in sweeps: each sweep splits every chord whose
+    # argument jump or length is too large, at once.  Floors on chord width
+    # catch curves that genuinely pass through the origin.
     hit_floor = False
-    while stack:
-        x0, d0, x1, d1 = stack.pop()
-        if ok(d0, d1) or (x1 - x0) < 1e-13 * (1.0 + abs(x0)):
-            if not ok(d0, d1):
-                hit_floor = True
-            out_d.append(d1)
-            continue
-        if total_points >= _WINDING_MAX_POINTS:
+    while True:
+        d0, d1 = dvals[:-1], dvals[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump = np.where((d0 != 0) & (d1 != 0), np.abs(np.angle(d1 / d0)), np.inf)
+        chord = np.abs(d1 - d0)
+        ok = (jump < 0.5 * np.pi) & (chord <= _WINDING_CHORD * np.minimum(np.abs(d0), np.abs(d1)))
+        narrow = xs[1:] - xs[:-1] < 1e-13 * (1.0 + np.abs(xs[:-1]))
+        hit_floor = hit_floor or bool(np.any(~ok & narrow))
+        split = np.nonzero(~ok & ~narrow)[0]
+        if not split.size:
+            break
+        if xs.size + split.size > _WINDING_MAX_POINTS:
             raise MarginalError(
                 "winding-number refinement budget exhausted; curve is marginal",
-                min_abs=float(np.min(np.abs(ds))),
+                min_abs=float(np.min(np.abs(dvals))),
             )
-        xm = 0.5 * (x0 + x1)
-        dm = relation.evaluate(xm)
-        total_points += 1
-        stack.append((xm, dm, x1, d1))
-        stack.append((x0, d0, xm, dm))
+        mid = 0.5 * (xs[split] + xs[split + 1])
+        dvals = np.insert(dvals, split + 1, relation.evaluate(mid))
+        xs = np.insert(xs, split + 1, mid)
 
-    dvals = np.array(out_d)
     mods = np.abs(dvals)
     i_min = int(np.argmin(mods))
     min_abs = float(mods[i_min])
@@ -385,8 +366,7 @@ def critical_coupling(dist):
 
 def _critical(dist, zeros):
     """(K_c, critical frequencies) from the sorted real zeros of Im L."""
-    re_vals = np.array([float(np.real(laplace_transform(dist, z))) for z in zeros])
-    candidates = 2.0 / re_vals
+    candidates = 2.0 / np.real(laplace_transform(dist, np.array(zeros)))
     kc = float(np.min(candidates))
     return kc, [z for z, c in zip(zeros, candidates) if c <= kc * (1.0 + 1e-9)]
 
@@ -503,15 +483,13 @@ def analyze_stability(dist, coupling, boundary_points=2001):
     relation = DispersionRelation(dist, coupling)
     zeros = _boundary_imag_zeros(dist)
     kc, crit = _critical(dist, zeros)
-    boundary = []
-    for z in zeros:
-        d = relation.evaluate(z)
-        boundary.append((float(z), float(d.real), float(d.imag)))
+    d_zeros = relation.evaluate(np.array(zeros))
+    boundary = [(float(z), float(d.real), float(d.imag)) for z, d in zip(zeros, d_zeros)]
 
     loc, scale, halfspan = dist.location_hints()
     span = halfspan + 12.0 * scale
     grid = np.linspace(loc - span, loc + span, boundary_points)
-    dvals = np.append(relation.evaluate(grid), [complex(re, im) for (_, re, im) in boundary])
+    dvals = np.append(relation.evaluate(grid), d_zeros)
     min_abs = float(np.min(np.abs(dvals)))
 
     marginal = False

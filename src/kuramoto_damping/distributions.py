@@ -38,7 +38,6 @@ __all__ = [
     "build_grid",
     "invert_monotone",
     "distribution_from_config",
-    "distribution_to_config",
     "require_keys",
     "MAX_DERIVATIVE_ORDER",
 ]
@@ -52,7 +51,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 class FrequencyDistribution:
     """Interface shared by all frequency-density families.
 
-    Instances are immutable after construction and safe for concurrent reads.
+    A family is one class: it implements the methods below, and its config
+    entry is one branch of ``distribution_from_config``.  No other module
+    knows which families exist.  Instances are immutable after construction
+    and safe for concurrent reads.
     """
 
     def density(self, omega):
@@ -79,6 +81,21 @@ class FrequencyDistribution:
 
     def fourier_tail_integral(self, t0):
         """Upper bound for int_{t0}^inf |ghat(t)| dt (exact for one component)."""
+        raise NotImplementedError
+
+    def laplace_transform(self, omega):
+        """L(w) = int_0^inf ghat(t) exp(-i w t) dt on a complex array with Im(w) <= 0.
+
+        The half plane is not checked here; ``dispersion.laplace_transform`` does.
+        """
+        raise NotImplementedError
+
+    def abs_moment(self, n):
+        """int_0^inf t^n |ghat(t)| dt in closed form, or None when there is none."""
+        return None
+
+    def to_config(self):
+        """The JSON description that ``distribution_from_config`` reads back."""
         raise NotImplementedError
 
     def location_hints(self):
@@ -154,6 +171,15 @@ class Cauchy(FrequencyDistribution):
     def fourier_tail_integral(self, t0):
         return math.exp(-self.half_width * t0) / self.half_width
 
+    def laplace_transform(self, omega):
+        return 1.0 / (self.half_width + 1j * (omega + self.center))
+
+    def abs_moment(self, n):
+        return math.factorial(n) / self.half_width ** (n + 1)
+
+    def to_config(self):
+        return {"family": "cauchy", "delta": self.half_width, "center": self.center}
+
     def location_hints(self):
         return (self.center, self.half_width, 0.0)
 
@@ -210,6 +236,19 @@ class Gaussian(FrequencyDistribution):
         a = self.std_dev / math.sqrt(2.0)
         return math.sqrt(np.pi) / (2.0 * a) * special.erfc(a * t0)
 
+    def laplace_transform(self, omega):
+        # The Faddeeva function, in its reliable half plane because Im(w) <= 0.
+        s = self.std_dev
+        z = -(omega + self.center) / (s * math.sqrt(2.0))
+        return math.sqrt(np.pi / 2.0) / s * special.wofz(z)
+
+    def abs_moment(self, n):
+        s = self.std_dev
+        return 2.0 ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0) / s ** (n + 1)
+
+    def to_config(self):
+        return {"family": "gaussian", "sigma": self.std_dev, "center": self.center}
+
     def location_hints(self):
         return (self.center, self.std_dev, 0.0)
 
@@ -263,6 +302,24 @@ class Mixture(FrequencyDistribution):
     def fourier_tail_integral(self, t0):
         return sum(w * c.fourier_tail_integral(t0) for w, c in zip(self.weights, self.components))
 
+    def laplace_transform(self, omega):
+        return sum(w * c.laplace_transform(omega) for w, c in zip(self.weights, self.components))
+
+    def abs_moment(self, n):
+        if len({c.location_hints()[0] for c in self.components}) > 1:
+            return None  # cross terms oscillate, no elementary closed form
+        moments = [c.abs_moment(n) for c in self.components]
+        if None in moments:
+            return None
+        return sum(w * m for w, m in zip(self.weights, moments))
+
+    def to_config(self):
+        return {
+            "family": "mixture",
+            "weights": list(self.weights),
+            "components": [c.to_config() for c in self.components],
+        }
+
     def location_hints(self):
         centers = [c.location_hints()[0] for c in self.components]
         scales = [c.location_hints()[1] for c in self.components]
@@ -313,29 +370,11 @@ def bi_cauchy(half_width, offset):
 # Moment and norm integrals
 
 
-def _moment_closed_form(dist, n):
-    """Closed form of int_0^inf t^n |ghat(t)| dt when the modulus is a pure envelope."""
-    comps = dist._components()
-    centers = {c.location_hints()[0] for _, c in comps}
-    if len(centers) > 1:
-        return None  # cross terms oscillate, no elementary closed form
-    total = 0.0
-    for w, comp in comps:
-        if isinstance(comp, Cauchy):
-            total += w * math.factorial(n) / comp.half_width ** (n + 1)
-        elif isinstance(comp, Gaussian):
-            s = comp.std_dev
-            total += w * 2.0 ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0) / s ** (n + 1)
-        else:
-            return None
-    return total
-
-
 def fourier_moment(dist, n):
     """int_0^inf t^n |ghat(t)| dt, by closed form or adaptive quadrature."""
     if n < 0 or int(n) != n:
         raise ValueError(f"moment order must be a nonnegative integer, got {n}")
-    closed = _moment_closed_form(dist, n)
+    closed = dist.abs_moment(n)
     if closed is not None:
         return closed
 
@@ -582,20 +621,6 @@ def distribution_from_config(obj):
         comps = tuple(distribution_from_config(c) for c in obj["components"])
         return Mixture(weights=tuple(float(w) for w in obj["weights"]), components=comps)
     raise ValueError(f"unknown distribution family: {family!r}")
-
-
-def distribution_to_config(dist):
-    if isinstance(dist, Cauchy):
-        return {"family": "cauchy", "delta": dist.half_width, "center": dist.center}
-    if isinstance(dist, Gaussian):
-        return {"family": "gaussian", "sigma": dist.std_dev, "center": dist.center}
-    if isinstance(dist, Mixture):
-        return {
-            "family": "mixture",
-            "weights": list(dist.weights),
-            "components": [distribution_to_config(c) for c in dist.components],
-        }
-    raise ValueError(f"cannot serialize distribution of type {type(dist).__name__}")
 
 
 def require_keys(obj, required, optional, context):

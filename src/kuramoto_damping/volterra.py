@@ -46,6 +46,8 @@ _LEAF = 64  # steps marched with direct dot products at the bottom of the recurs
 _MAX_TILT = 200.0  # cap on tilt rate x block length: e^200 is far from overflow
 # fit_decay leaves out |R| <= _NOISE_FLOOR and accepts RMS residuals up to _RESIDUAL_TOL.
 _NOISE_FLOOR, _RESIDUAL_TOL = 1e-14, 0.5
+#: Most steps round(horizon / time_step) a problem may have: about 1 GB of work arrays.
+MAX_STEPS = 10**7
 
 
 @dataclass
@@ -62,6 +64,9 @@ class VolterraProblem:
             raise ValueError(
                 f"need 0 < time_step <= horizon, got dt={self.time_step}, T={self.horizon}"
             )
+        steps = round(self.horizon / self.time_step)
+        if steps > MAX_STEPS:
+            raise ValueError(f"horizon / time_step gives {steps} steps, more than {MAX_STEPS}")
 
 
 @dataclass

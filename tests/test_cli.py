@@ -375,6 +375,9 @@ _VALID = {
         # (1+t)^weight_order must stay finite up to the last time written
         pytest.param("linear", "horizon", 1e78, id="linear-weight-factor-overflow"),
         pytest.param("linear", "horizon", 1e300, id="linear-weight-factor-overflow-far"),
+        # the step count round(horizon / dt) has a cap; 1e76 passes the weight rule
+        pytest.param("linear", "horizon", 1e76, id="linear-step-count-above-cap"),
+        pytest.param("witness", "horizon", 1e78, id="witness-step-count-above-cap"),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):

@@ -1,5 +1,8 @@
 """Tests for the dispersion-function stability machinery."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,15 @@ from kuramoto_damping.dispersion import (
     laplace_transform,
     winding_number,
 )
-from kuramoto_damping.distributions import Cauchy, Gaussian, Mixture, bi_cauchy
+from kuramoto_damping.distributions import (
+    Cauchy,
+    FrequencyDistribution,
+    Gaussian,
+    Mixture,
+    bi_cauchy,
+    build_grid,
+    fourier_moment,
+)
 from kuramoto_damping.exceptions import DomainError, MarginalError
 
 from conftest import dense_winding_oracle
@@ -412,3 +423,147 @@ def test_bench_stability_reports_match_reference(case):
     assert (report["verdict"], report["windingNumber"]) == (verdict, winding)
     assert report["criticalCoupling"] == pytest.approx(kc_ref, rel=1e-12, abs=0.0)
     assert report["diagnostics"]["l1SufficientCheck"] is l1
+
+
+# ---------------------------------------------------------------------------
+# a family is one class
+
+
+class _Lorentzian(FrequencyDistribution):
+    """The centred Cauchy density, written as a family of its own.
+
+    Nothing outside this class knows it: the dispersion machinery must reach
+    every closed form through the interface.
+    """
+
+    def __init__(self, delta):
+        self.delta = delta
+
+    def density(self, omega):
+        x = np.asarray(omega, dtype=float)
+        return self.delta / (np.pi * (x * x + self.delta**2))
+
+    def density_derivative(self, omega, order):
+        self._validate_order(order)
+        z = (np.asarray(omega, dtype=float) - 1j * self.delta) ** (-(order + 1))
+        return (-1.0) ** order * math.factorial(order) / np.pi * z.imag
+
+    def fourier_transform(self, t):
+        return np.exp(-self.delta * np.asarray(t, dtype=float)) + 0j
+
+    def cdf(self, omega):
+        return 0.5 + np.arctan(np.asarray(omega, dtype=float) / self.delta) / np.pi
+
+    def inverse_cdf(self, p):
+        return self.delta * np.tan(np.pi * (np.asarray(p, dtype=float) - 0.5))
+
+    def fourier_tail_integral(self, t0):
+        return math.exp(-self.delta * t0) / self.delta
+
+    def location_hints(self):
+        return (0.0, self.delta, 0.0)
+
+    @property
+    def heavy_tailed(self):
+        return True
+
+    def laplace_transform(self, omega):
+        return 1.0 / (self.delta + 1j * omega)
+
+    def abs_moment(self, n):
+        return math.factorial(n) / self.delta ** (n + 1)
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+def test_family_outside_distributions_runs_through_dispersion(delta):
+    dist = _Lorentzian(delta)
+    kc, crit = critical_coupling(dist)
+    assert kc == pytest.approx(2.0 * delta, rel=1e-12)
+    assert crit == pytest.approx([0.0], abs=1e-9)
+    below = analyze_stability(dist, 0.7 * kc)
+    assert (below.verdict, below.winding_number, below.unstable_roots) == ("Stable", 0, [])
+    above = analyze_stability(dist, 1.3 * kc)
+    assert (above.verdict, above.winding_number) == ("Unstable", 1)
+    assert len(above.unstable_roots) == 1
+    assert fourier_moment(dist, 0) == pytest.approx(1.0 / delta, rel=1e-15)
+    grid = build_grid(dist, 2048, 0.999)
+    np.testing.assert_array_equal(grid.nodes, build_grid(Cauchy(delta), 2048, 0.999).nodes)
+
+
+# ---------------------------------------------------------------------------
+# winding refinement in sweeps against the work-stack refinement
+
+
+def _stack_winding_details(relation):
+    """Reference: the scalar work-stack midpoint refinement the sweeps replaced."""
+    loc, scale, halfspan = relation.dist.location_hints()
+    omega_max = abs(loc) + halfspan + 20.0 * scale + 100.0 * max(relation.coupling, 1.0)
+    xs = list(np.linspace(-omega_max, omega_max, dispersion._WINDING_POINTS))
+    ds = list(relation.evaluate(np.array(xs)))
+    total_points = len(xs)
+
+    def ok(d0, d1):
+        jump = abs(cmath.phase(d1 / d0)) if d0 != 0 and d1 != 0 else np.inf
+        chord = abs(d1 - d0)
+        return jump < 0.5 * np.pi and chord <= dispersion._WINDING_CHORD * min(abs(d0), abs(d1))
+
+    out_d = [ds[0]]
+    stack = [(xs[i], ds[i], xs[i + 1], ds[i + 1]) for i in range(len(xs) - 1)][::-1]
+    hit_floor = False
+    while stack:
+        x0, d0, x1, d1 = stack.pop()
+        if ok(d0, d1) or (x1 - x0) < 1e-13 * (1.0 + abs(x0)):
+            if not ok(d0, d1):
+                hit_floor = True
+            out_d.append(d1)
+            continue
+        if total_points >= dispersion._WINDING_MAX_POINTS:
+            raise MarginalError("budget exhausted", min_abs=float(np.min(np.abs(ds))))
+        xm = 0.5 * (x0 + x1)
+        dm = relation.evaluate(xm)
+        total_points += 1
+        stack.append((xm, dm, x1, d1))
+        stack.append((x0, d0, xm, dm))
+
+    dvals = np.array(out_d)
+    mods = np.abs(dvals)
+    i_min = int(np.argmin(mods))
+    min_abs = float(mods[i_min])
+    lo, hi = max(0, i_min - 1), min(len(dvals) - 1, i_min + 1)
+    local_res = float(np.max(np.abs(np.diff(dvals[lo : hi + 1])))) if hi > lo else 0.0
+    if hit_floor or min_abs <= max(10.0 * local_res, 1e-9):
+        raise MarginalError("passes near the origin", min_abs=min_abs)
+    total = float(np.sum(np.angle(dvals[1:] / dvals[:-1])))
+    total += cmath.phase(dvals[0]) - cmath.phase(dvals[-1])
+    winding = -total / (2.0 * np.pi)
+    nearest = int(round(winding))
+    if abs(winding - nearest) > 0.05:
+        raise MarginalError("not an integer", min_abs=min_abs)
+    return nearest, len(dvals), min_abs
+
+
+_SWEEP_DISTS = {
+    "cauchy": Cauchy(1.0),
+    "gaussian": Gaussian(1.0),
+    "bi-cauchy-1-2": bi_cauchy(1.0, 2.0),
+    "cauchy-gauss": Mixture((0.3, 0.7), (Cauchy(0.5, -2.0), Gaussian(0.6, 1.5))),
+}
+
+
+@pytest.mark.parametrize("factor", [0.7, 1.3])
+@pytest.mark.parametrize("name", sorted(_SWEEP_DISTS))
+def test_winding_sweeps_match_stack_refinement(name, factor):
+    dist = _SWEEP_DISTS[name]
+    relation = DispersionRelation(dist, factor * critical_coupling(dist)[0])
+    wind, points, min_abs = dispersion._winding_details(relation)
+    ref_wind, ref_points, ref_min_abs = _stack_winding_details(relation)
+    assert (wind, points) == (ref_wind, ref_points)
+    assert min_abs == pytest.approx(ref_min_abs, rel=1e-15, abs=0.0)
+
+
+def test_winding_sweeps_and_stack_both_marginal_at_threshold():
+    relation = DispersionRelation(Cauchy(1.0), 2.0)
+    with pytest.raises(MarginalError):
+        dispersion._winding_details(relation)
+    with pytest.raises(MarginalError):
+        _stack_winding_details(relation)

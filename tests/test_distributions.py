@@ -14,7 +14,6 @@ from kuramoto_damping.distributions import (
     bi_cauchy,
     build_grid,
     distribution_from_config,
-    distribution_to_config,
     fourier_moment,
     sobolev_norm,
 )
@@ -372,7 +371,7 @@ def test_grid_oscillatory_quadrature_gaussian():
 
 @pytest.mark.parametrize("dist", ALL_FAMILIES)
 def test_config_round_trip(dist):
-    again = distribution_from_config(distribution_to_config(dist))
+    again = distribution_from_config(dist.to_config())
     w = np.linspace(-3, 3, 7)
     np.testing.assert_allclose(again.density(w), dist.density(w), rtol=0, atol=1e-15)
 

@@ -44,3 +44,32 @@ def test_no_scipy_import_inside_a_function():
                     names = [node.module or ""]
                 found += [f"{path.name}:{node.lineno}" for n in names if n.startswith("scipy")]
     assert found == []
+
+
+_FAMILIES = {"Cauchy", "Gaussian", "Mixture"}
+
+
+def _names_a_family(node):
+    if isinstance(node, ast.Tuple):
+        return any(_names_a_family(elt) for elt in node.elts)
+    if isinstance(node, ast.Attribute):
+        return node.attr in _FAMILIES
+    return isinstance(node, ast.Name) and node.id in _FAMILIES
+
+
+def test_no_module_but_distributions_knows_the_families():
+    # a family is one class: every other module reaches its closed forms
+    # through the FrequencyDistribution interface
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "distributions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                hits = [alias.name for alias in node.names if alias.name in _FAMILIES]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                hits = ["isinstance"] if len(node.args) == 2 and _names_a_family(node.args[1]) else []
+            else:
+                hits = []
+            found += [f"{path.name}:{node.lineno}: {hit}" for hit in hits]
+    assert found == []

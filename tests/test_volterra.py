@@ -9,6 +9,7 @@ from kuramoto_damping.dispersion import DispersionRelation, critical_coupling, f
 from kuramoto_damping.distributions import Cauchy, Gaussian, bi_cauchy, build_grid
 from kuramoto_damping.exceptions import StepSolveFailure, UnstableKernel, WindowTooNoisy
 from kuramoto_damping.volterra import (
+    MAX_STEPS,
     VolterraProblem,
     VolterraSolution,
     _block_product,
@@ -38,6 +39,13 @@ def test_zero_kernel_returns_source_exactly():
     sol = solve(VolterraProblem(_zeros, lambda t: np.cos(t) + 1j * np.sin(2 * t), 0.01, 5.0))
     expected = np.cos(sol.times) + 1j * np.sin(2 * sol.times)
     np.testing.assert_array_equal(sol.values, expected)
+
+
+def test_step_count_cap():
+    # construction only: a problem at the cap is accepted, one step more is not
+    VolterraProblem(_zeros, _ones, 0.5, 0.5 * MAX_STEPS)
+    with pytest.raises(ValueError, match="steps"):
+        VolterraProblem(_zeros, _ones, 0.5, 0.5 * (MAX_STEPS + 1))
 
 
 def test_initial_value_equals_source():
