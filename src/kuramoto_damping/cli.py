@@ -32,7 +32,7 @@ from .distributions import (
     distribution_from_config,
     require_keys,
 )
-from .exceptions import ConfigError, KuramotoDampingError, MismatchedConfigs
+from .exceptions import BlowupDetected, ConfigError, KuramotoDampingError, MismatchedConfigs
 
 FORMAT_VERSION = 1
 
@@ -354,6 +354,14 @@ def run_witness(config, outdir):
         source, rate = volterra.instability_witness(dist, coupling, amplitude)
         problem = volterra.VolterraProblem(
             volterra.kuramoto_kernel(dist, coupling), source, dt, horizon
+        )
+    # the source grows like |A| e^{rate t} up to the last time, within dt/2 of
+    # the horizon; past ln(max float) it overflows before it can be checked
+    growth = math.log(abs(amplitude)) + rate * (horizon + 0.5 * dt)
+    if growth > math.log(sys.float_info.max):
+        raise BlowupDetected(
+            f"witness: ln|A| + rate * (horizon + dt/2) = {growth:.4g} exceeds "
+            f"ln(max float) = {math.log(sys.float_info.max):.4f}"
         )
     solution = volterra.solve(problem)
     f_vals = np.asarray(source(solution.times))

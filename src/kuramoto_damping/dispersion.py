@@ -453,7 +453,7 @@ class StabilityReport:
     """Full classification of one (distribution, coupling) pair."""
 
     verdict: str  # "Stable" | "MarginallyUnstable" | "Unstable"
-    winding_number: int
+    winding_number: int | None  # None when the contour passes too near the origin
     boundary_zeros: list  # (omega, Re D, Im D) triples
     unstable_roots: list  # complex roots with Im < 0
     critical_coupling: float
@@ -498,7 +498,7 @@ def analyze_stability(dist, coupling, boundary_points=2001):
         wind, contour_points, _ = _winding_details(relation)
     except MarginalError as exc:
         marginal = True
-        wind = 0 if coupling < kc else 1
+        wind = None
         min_abs = min(min_abs, exc.min_abs)
 
     roots = []
@@ -517,7 +517,7 @@ def analyze_stability(dist, coupling, boundary_points=2001):
 
     return StabilityReport(
         verdict=verdict,
-        winding_number=int(wind),
+        winding_number=wind,
         boundary_zeros=boundary,
         unstable_roots=roots,
         critical_coupling=kc,

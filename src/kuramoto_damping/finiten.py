@@ -1,9 +1,13 @@
 """Direct integration of the N-oscillator system.
 
 dtheta_i/dt = omega_i + (K/N) sum_j sin(theta_j - theta_i), reduced to O(N)
-per stage through the mean field Z = (1/N) sum_j exp(i theta_j):
+per stage through the mean field Z = (1/N) sum_j exp(i theta_j).  On
+z_i = exp(i theta_i) the system is polynomial,
 
-    dtheta_i/dt = omega_i + K Im(Z exp(-i theta_i)).
+    dz_i/dt = i omega_i z_i + (K/2)(Z - conj(Z) z_i^2),
+
+and is marched by an integrating-factor (Lawson) RK4 step that rotates each
+z_i exactly and takes no cosine or sine.
 
 Frequencies are drawn from a frequency distribution either by seeded inverse
 CDF or by deterministic stratified quantiles omega_i = F^{-1}((i - 1/2)/N);
@@ -133,32 +137,101 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
     )
 
 
-def _phase_velocity(phases, frequencies, coupling):
-    """omega_j + K Im(Z e^{-i theta_j}) = omega_j + K (S cos theta_j - C sin theta_j), Z = C + iS."""
-    cos, sin = np.cos(phases), np.sin(phases)
-    k_sin, k_cos = coupling * sin.mean(), coupling * cos.mean()
-    # in place on the two fresh arrays: no further temporaries of size N
-    cos *= k_sin
-    sin *= k_cos
-    cos -= sin
-    cos += frequencies
-    return cos
+class _Stepper:
+    """Lawson RK4 steps of z at one step size, built once per ``simulate`` or
+    ``step_rk4`` call with the tables P = e^{i omega dt/2}, Q = e^{i omega dt},
+    e^{-i omega m dt} and six work arrays.  With N(y) = (K/2)(Y - conj(Y) y^2)
+    and Y the mean of y,
+
+        k1 = N(z),  k2 = N(P (z + dt/2 k1)),  k3 = N(P z + dt/2 k2),
+        k4 = N(Q z + dt P k3),  z <- Q z + dt/6 (Q k1 + 2 P (k2 + k3) + k4),
+
+    then z *= 1.5 - 0.5 |z|^2, a Newton step back to |z| = 1.  Q is computed
+    directly, not as P^2, so free rotation is exact.  The unwrapped phase is
+    theta_0 + omega t plus the arg increments of e^{-i omega t} z, which turns
+    by at most about |K| dt a step: one angle every m = pi / (2 |K| dt) steps
+    keeps each increment below pi/2.
+    """
+
+    def __init__(self, state, dt, steps):
+        self.state, self.dt, self.start = state, dt, (state.phases, state.time)
+        self.scale = 0.25 * dt * state.coupling  # (dt/2)(K/2)
+        omega = state.frequencies
+        self.half = np.exp(0.5j * dt * omega)
+        self.full = np.exp(1j * dt * omega)
+        turn = abs(state.coupling) * dt
+        self.every = max(1, min(steps, int(0.5 * np.pi / turn) if turn else steps))
+        self.unturn = np.exp(-1j * (self.every * dt) * omega)
+        self.z = np.exp(1j * state.phases)
+        self.mean = self.z.mean()  # Z now, and k1's mean in the next step
+        self.anchor = self.z.copy()  # z at the last angle
+        self.turned = np.zeros(omega.size)
+        self.since = 0
+        self.stage, self.slope, self.total, self.middle, self.rotated = (
+            np.empty_like(self.z) for _ in range(5)
+        )
+
+    def _slope(self, y, mean, out):
+        """out = dt/2 N(y), given the mean of y."""
+        np.multiply(y, y, out=out)
+        out *= -self.scale * np.conj(mean)
+        out += self.scale * mean
+
+    def advance(self):
+        p, z, y, s = self.half, self.z, self.stage, self.slope
+        acc, mid, u = self.total, self.middle, self.rotated
+        self._slope(z, self.mean, s)  # s = dt/2 k1
+        np.add(z, s, out=y)
+        y *= p
+        np.multiply(self.full, s, out=acc)
+        self._slope(y, y.mean(), mid)  # mid = dt/2 k2
+        np.multiply(p, z, out=u)
+        np.add(u, mid, out=y)
+        self._slope(y, y.mean(), s)  # s = dt/2 k3
+        mid += s
+        np.add(s, s, out=y)
+        y += u
+        y *= p
+        mid *= p
+        acc += mid
+        acc += mid
+        self._slope(y, y.mean(), s)  # s = dt/2 k4
+        acc += s
+        acc *= 1.0 / 3.0  # dt/6 (Q k1 + 2 P (k2 + k3) + k4)
+        z *= self.full
+        z += acc
+        factor = 1.5 - 0.5 * (z.real * z.real + z.imag * z.imag)
+        z.real *= factor
+        z.imag *= factor
+        self.mean = z.mean()
+        self.state.time += self.dt
+        self.since += 1
+        if self.since == self.every:
+            self._unwrap(self.unturn)
+
+    def _unwrap(self, unturn):
+        """Add arg(z conj(anchor) unturn), the turn of e^{-i omega t} z since the anchor."""
+        np.conjugate(self.anchor, out=self.rotated)
+        self.rotated *= self.z
+        self.rotated *= unturn
+        self.turned += np.angle(self.rotated)
+        np.copyto(self.anchor, self.z)
+        self.since = 0
+
+    def finish(self):
+        """Write the wrapped phases and the wrap offset back to the state."""
+        state, (phases, time) = self.state, self.start
+        if self.since:
+            self._unwrap(np.exp(-1j * (self.since * self.dt) * state.frequencies))
+        new = phases + state.frequencies * (state.time - time) + self.turned
+        wrapped = np.mod(new, TWO_PI)
+        state.wrap_offset += float(np.sum(new - wrapped))
+        state.phases = wrapped
 
 
 def step_rk4(state, dt):
-    """One classical RK4 step of the mean-field system; wraps phases after."""
-    th = state.phases
-    om = state.frequencies
-    k = state.coupling
-    k1 = _phase_velocity(th, om, k)
-    k2 = _phase_velocity(th + 0.5 * dt * k1, om, k)
-    k3 = _phase_velocity(th + 0.5 * dt * k2, om, k)
-    k4 = _phase_velocity(th + dt * k3, om, k)
-    new = th + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    wrapped = np.mod(new, TWO_PI)
-    state.wrap_offset += float(np.sum(new - wrapped))
-    state.phases = wrapped
-    state.time += dt
+    """One Lawson RK4 step of the mean-field system; wraps phases after."""
+    simulate(state, dt, dt)
     return state
 
 
@@ -179,11 +252,13 @@ def simulate(state, time_step, horizon, output_every=1):
     in place to the final time.
     """
     steps = int(round(horizon / time_step))
+    stepper = _Stepper(state, time_step, steps)
     times = [state.time]
-    orders = [order_parameter_n(state)[1]]
+    orders = [stepper.mean]
     for i in range(1, steps + 1):
-        step_rk4(state, time_step)
+        stepper.advance()
         if i % output_every == 0 or i == steps:
             times.append(state.time)
-            orders.append(order_parameter_n(state)[1])
+            orders.append(stepper.mean)
+    stepper.finish()
     return np.array(times), np.array(orders)

@@ -434,7 +434,8 @@ def _csv_input(tmp_path, rows):
         ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (0.5, 0.7, "inf"), (1, 0.5, 0)]), 2),
         ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (1, 0.7, 0), (0.5, 0.5, 0)]), 2),
         ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (0.5, 0.7, 0), (0.5, 0.5, 0)]), 2),
-        # exp(t) of the witness source overflows long before t = 800: numeric failure
+        # exp(t) of the witness source would overflow long before t = 800: a
+        # numeric failure raised before the source is evaluated, so no warning
         ("witness", lambda tmp: {"dt": 0.5, "horizon": 800.0}, 3),
         # the csv must cover [0, horizon]; interpolation would hold its end values
         ("linear", lambda tmp: _csv_input(tmp, [(0, 1, 0), (0.5, 0.7, 0), (0.9, 0.5, 0)]), 2),
@@ -444,6 +445,7 @@ def _csv_input(tmp_path, rows):
     ids=["nan-ReF", "inf-ImF", "decreasing-t", "repeated-t", "witness-overflow",
          "short-csv", "late-start-csv", "header-only-csv"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_or_disordered_input_exit_code(tmp_path, capsys, experiment, change, code):
     config = dict(_VALID[experiment](), **change(tmp_path))
     out = tmp_path / "out"

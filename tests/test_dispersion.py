@@ -1,6 +1,7 @@
 """Tests for the dispersion-function stability machinery."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -353,6 +354,24 @@ def test_report_root_equals_find_unstable_root(dist):
 def test_report_marginal_at_threshold():
     rep = analyze_stability(Cauchy(1.0), 2.0)
     assert rep.verdict == "MarginallyUnstable"
+    assert rep.winding_number is None
+
+
+def test_marginal_report_writes_no_winding_number():
+    # At its K_c this mixture's contour passes too near the origin to count a
+    # winding.  A fallback of 0 below K_c and 1 above let the last bit of K_c
+    # decide: 1 at K = 1.0879851681937402 with K_c computed one ulp lower, 0
+    # with K_c computed as that same K.
+    mix = Mixture((0.3, 0.7), (Cauchy(0.4, -1.6), Gaussian(0.48, 1.2)))
+    kc, _ = critical_coupling(mix)
+    assert kc == pytest.approx(1.0879851681937402, rel=1e-15)
+    for coupling in (np.nextafter(kc, 0.0), kc, np.nextafter(kc, 2.0)):
+        report = analyze_stability(mix, coupling).to_json_dict()
+        assert report["verdict"] == "MarginallyUnstable"
+        assert report["windingNumber"] is None
+        assert report["diagnostics"]["contourPoints"] == 0
+        assert report["unstableRoots"] == []
+    assert '"windingNumber": null' in json.dumps(report)
 
 
 # ---------------------------------------------------------------------------

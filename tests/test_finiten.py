@@ -1,5 +1,7 @@
 """Tests for the direct N-oscillator integrator."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from kuramoto_damping.distributions import Cauchy, Gaussian
 from kuramoto_damping.exceptions import InvalidPerturbation
 from kuramoto_damping.finiten import (
     FiniteNState,
+    _Stepper,
     _van_der_corput,
     order_parameter_n,
     sample_oscillators,
@@ -138,6 +141,100 @@ def test_simulate_records_series():
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(1.0, abs=1e-12)
     assert orders.shape == times.shape
+
+
+def test_simulate_equals_repeated_steps():
+    # K = 2 > K_c = 1.6: the simulate run takes an unwrap angle every 78 steps
+    a = sample_oscillators(Gaussian(1.0), 256, 2.0, epsilon=0.05, modes={1: _unit})
+    b = sample_oscillators(Gaussian(1.0), 256, 2.0, epsilon=0.05, modes={1: _unit})
+    _, z = simulate(a, 0.01, 3.0)
+    stepped = [order_parameter_n(b)[1]]
+    for _ in range(300):
+        step_rk4(b, 0.01)
+        stepped.append(order_parameter_n(b)[1])
+    np.testing.assert_allclose(z, stepped, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.angle(np.exp(1j * (a.phases - b.phases))), 0.0, rtol=0, atol=1e-12)
+    assert a.time == b.time
+
+
+def test_mean_phase_bookkeeping_above_threshold_with_sparse_output():
+    # K dt output_every = 4 > pi: the unwrap may not rely on the output spacing
+    coupling, dt, every = 4.0, 0.01, 100
+    state = sample_oscillators(Cauchy(1.0), 1000, coupling, epsilon=0.05, modes={1: _unit})
+    start_sum = float(np.sum(state.phases))
+    freq_sum = float(np.sum(state.frequencies))
+    _, z = simulate(state, dt, 20.0, output_every=every)
+    assert abs(z[-1]) > 0.6  # synchronised
+    unwrapped_sum = float(np.sum(state.phases)) + state.wrap_offset
+    drift = (unwrapped_sum - start_sum - freq_sum * state.time) / state.count
+    assert abs(drift) <= 1e-8
+
+
+def test_modulus_stays_on_the_unit_circle():
+    # the once-per-step Newton factor 1.5 - 0.5 |z|^2 holds |z| near 1 even on
+    # the Cauchy tail, where omega dt reaches 6
+    state = sample_oscillators(Cauchy(1.0), 1000, 4.0, epsilon=0.05, modes={1: _unit})
+    stepper = _Stepper(state, 0.01, 2000)
+    worst = 0.0
+    for _ in range(2000):
+        stepper.advance()
+        worst = max(worst, float(np.max(np.abs(np.abs(stepper.z) - 1.0))))
+    assert worst <= 1e-6
+
+
+def test_free_rotation_is_exact_on_cauchy_tail():
+    # omega dt up to 64: only the exact rotation tables keep z on its orbit
+    state = sample_oscillators(Cauchy(1.0), 1000, 0.0, epsilon=0.05, modes={1: _unit})
+    assert np.max(state.frequencies) * 0.1 > 60.0
+    start = state.phases.copy()
+    times, z = simulate(state, 0.1, 20.0, output_every=20)
+    turned = state.phases - (start + state.frequencies * state.time)
+    np.testing.assert_allclose(np.angle(np.exp(1j * turned)), 0.0, rtol=0, atol=1e-10)
+    exact = np.exp(1j * (start[None, :] + state.frequencies[None, :] * times[:, None])).mean(axis=1)
+    np.testing.assert_allclose(z, exact, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Ott-Antonsen reduction
+#
+# Cauchy(1) frequencies and initial modes c_k = eps^{k-1} (a = 1) lie on the
+# Ott-Antonsen manifold, where the residue at omega = -i delta closes the
+# dynamics on dR/dt = (K/2 - delta) R - (K/2) eps^2 |R|^2 R, R(0) = 1.  The
+# finite-N sum converges to eps conj(R).
+
+
+def _ott_antonsen(times, coupling, eps, delta=1.0):
+    """R(t) of the Bernoulli equation: x = |R|^2 solves x' = 2 lam x - K eps^2 x^2."""
+    lam = 0.5 * coupling - delta
+    quad = 0.5 * coupling * eps**2
+    if lam == 0.0:
+        return 1.0 / np.sqrt(1.0 + 2.0 * quad * times)
+    growth = np.exp(2.0 * lam * times)
+    return np.sqrt(growth / (1.0 + quad / lam * (growth - 1.0)))
+
+
+@lru_cache(maxsize=None)
+def _ott_antonsen_error(coupling, eps, count):
+    modes = {k: (lambda w, c=eps ** (k - 1): np.full(np.shape(w), c, dtype=complex))
+             for k in range(1, 41)}
+    state = sample_oscillators(Cauchy(1.0), count, coupling, epsilon=eps, modes=modes)
+    times, z = simulate(state, 0.01, 6.0, output_every=10)
+    return float(np.max(np.abs(z - eps * np.conj(_ott_antonsen(times, coupling, eps)))))
+
+
+@pytest.mark.parametrize(
+    "coupling, eps, bound",
+    # measured at N = 10^4: 3.48e-3, 5.60e-3, 4.64e-3
+    [(1.0, 0.5, 4e-3), (4.0, 0.05, 6e-3), (4.0, 0.5, 5e-3)],
+    ids=["damped", "sync-small", "sync-large"],
+)
+def test_matches_ott_antonsen_reduction(coupling, eps, bound):
+    assert _ott_antonsen_error(coupling, eps, 10_000) <= bound
+
+
+def test_ott_antonsen_error_falls_with_population():
+    # quantile sampling: about N^{-1/2}, so a fourfold N should halve the error
+    assert _ott_antonsen_error(4.0, 0.5, 10_000) <= 0.5 * _ott_antonsen_error(4.0, 0.5, 2_500)
 
 
 # ---------------------------------------------------------------------------
