@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
+import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -149,13 +152,65 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+_CSV_CHUNK = 4096  # rows per % format: bounds the memory one format takes
+
+
 def _write_csv(path, header, columns):
-    """One row per entry; each column (an array or a list) becomes Python values once."""
-    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    """One row per entry, written a chunk of rows per % format.
+
+    Float columns get ``_fmt``'s 17 significant digits, every other column ``str``.
+    """
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
+    rows = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        for lo in range(0, rows, _CSV_CHUNK):
+            chunk = [col[lo : min(lo + _CSV_CHUNK, rows)].tolist() for col in columns]
+            fh.write(row * len(chunk[0]) % tuple(itertools.chain.from_iterable(zip(*chunk))))
+
+
+# np.genfromtxt(names=True) drops these from a header name
+_NAME_DROPS = str.maketrans("", "", "~!@#$%^&*()-=+\\|]}[{';:/?.>,<")
+_DATA_LINE = re.compile(r"^[ \t]*[^#\s]", re.MULTILINE)
+
+
+def _read_csv(path, names, context):
+    """The named columns of a csv file as one float array, in the order of ``names``.
+
+    The header is the first non-blank line, with or without a leading '#'.
+    Its names are matched after trimming spaces, turning inner spaces into
+    '_' and dropping punctuation, so "Re(F)" is "ReF", as in
+    ``np.genfromtxt(names=True)``.  Columns may come in any order and extra
+    columns are ignored, but every row needs one field per header name.
+    Blank lines and '#' comments in the body are skipped.  A file that is not
+    text, a missing name, a body without rows, or a field that is empty,
+    short or not a number is a ConfigError.
+    """
+    try:
+        with open(path) as fh:
+            header = next((line for line in fh if line.strip()), "")
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{context}: csv {path} is not text: {exc}") from exc
+    fields = header.lstrip().removeprefix("#").split(",")
+    found = [field.strip().replace(" ", "_").translate(_NAME_DROPS) for field in fields]
+    missing = [name for name in names if name not in found]
+    if missing:
+        raise ConfigError(f"{context}: csv {path} has no column {missing[0]!r} (header {found})")
+    if not _DATA_LINE.search(body):
+        raise ConfigError(f"{context}: csv {path} has no data rows")
+    wanted = [found.index(name) for name in names]
+    skip = {i: lambda field: 0.0 for i in range(len(found)) if i not in wanted}
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, converters=skip)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: csv {path}: {exc}") from exc
+    if data.shape[1] != len(found):
+        raise ConfigError(
+            f"{context}: csv {path} rows have {data.shape[1]} fields, its header {len(found)}"
+        )
+    return data[:, wanted]
 
 
 def _write_json(path, payload):
@@ -260,21 +315,20 @@ def _linear_source(config, dist, context):
         path = Path(spec["path"])
         if not path.exists():
             raise ConfigError(f"{context}: input CSV {path} does not exist")
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        if not all(np.all(np.isfinite(data[key])) for key in ("t", "ReF", "ImF")):
+        data = _read_csv(path, ("t", "ReF", "ImF"), context)
+        if not np.all(np.isfinite(data)):
             raise ConfigError(f"{context}: input CSV {path} holds a non-finite value")
-        t_ref = data["t"]
+        t_ref, re_ref, im_ref = data.T
         if np.any(np.diff(t_ref) <= 0):
             raise ConfigError(f"{context}: input CSV {path} needs strictly increasing t")
         # np.interp would hold F at its end values outside the csv's t range
         end = float(config["dt"]) * round(float(config["horizon"]) / float(config["dt"]))
-        if t_ref.size == 0 or t_ref[0] > 0 or t_ref[-1] < end:
+        if t_ref[0] > 0 or t_ref[-1] < end:
             raise ConfigError(f"{context}: input CSV {path} must cover t in [0, {end}]")
-        f_ref = data["ReF"] + 1j * data["ImF"]
 
         def source(t):
             t = np.asarray(t, dtype=float)
-            return np.interp(t, t_ref, f_ref.real) + 1j * np.interp(t, t_ref, f_ref.imag)
+            return np.interp(t, t_ref, re_ref) + 1j * np.interp(t, t_ref, im_ref)
 
         return source
     raise ConfigError(f"{context}: unknown input type {kind!r}")
@@ -475,7 +529,9 @@ def run_finite_n(config, outdir):
     cont = None
     if "continuum_dir" in config:
         # checked before simulating, so a mismatch leaves no artifacts
-        cont_cfg, cont = _load_run(config["continuum_dir"], "nonlinear", "R.csv", "finite-n")
+        cont_cfg, cont = _load_run(
+            config["continuum_dir"], "nonlinear", "R.csv", ("t", "ReR", "ImR"), "finite-n"
+        )
         _require_matching(cont_cfg, config, "finite-n: continuum run disagrees")
     times, orders = finiten.simulate(state, dt, horizon, output_every=output_every)
     _write_csv(
@@ -491,7 +547,8 @@ def run_finite_n(config, outdir):
     return summary
 
 
-def _load_run(run_dir, experiment, csv_name, context):
+def _load_run(run_dir, experiment, csv_name, columns, context):
+    """A run's config and the named columns of one of its csv artifacts."""
     run_dir = Path(run_dir)
     sidecar = run_dir / "config.json"
     series = run_dir / csv_name
@@ -503,8 +560,7 @@ def _load_run(run_dir, experiment, csv_name, context):
         raise MismatchedConfigs(
             f"{context}: {run_dir} holds a {meta.get('experiment')!r} run, expected {experiment!r}"
         )
-    data = np.genfromtxt(series, delimiter=",", skip_header=1)
-    return meta["config"], data
+    return meta["config"], _read_csv(series, columns, context)
 
 
 def _require_matching(first, second, message):
@@ -539,8 +595,12 @@ def _comparison_artifacts(outdir, config, epsilon, t_fin, z, t_cont, r):
 
 def run_compare(config, outdir):
     require_keys(config, {"continuum_dir", "finite_n_dir"}, set(), "compare")
-    cont_cfg, cont = _load_run(config["continuum_dir"], "nonlinear", "R.csv", "compare")
-    fin_cfg, fin = _load_run(config["finite_n_dir"], "finite-n", "zn.csv", "compare")
+    cont_cfg, cont = _load_run(
+        config["continuum_dir"], "nonlinear", "R.csv", ("t", "ReR", "ImR"), "compare"
+    )
+    fin_cfg, fin = _load_run(
+        config["finite_n_dir"], "finite-n", "zn.csv", ("t", "ReZ", "ImZ"), "compare"
+    )
     _require_matching(cont_cfg, fin_cfg, "compare: runs disagree")
 
     sup = _comparison_artifacts(

@@ -297,7 +297,9 @@ class Mixture(FrequencyDistribution):
         # Component quantiles bracket the mixture quantile.
         quantiles = [c.inverse_cdf(p) for c in self.components]
         lo, hi = np.minimum.reduce(quantiles), np.maximum.reduce(quantiles)
-        return invert_monotone(self.cdf, self.density, p, 0.5 * (lo + hi), lo, hi)
+        return invert_monotone(
+            lambda x: (self.cdf(x), self.density(x)), p, 0.5 * (lo + hi), lo, hi
+        )
 
     def fourier_tail_integral(self, t0):
         return sum(w * c.fourier_tail_integral(t0) for w, c in zip(self.weights, self.components))
@@ -339,18 +341,20 @@ _INVERT_MAX_STEPS = 80
 _INVERT_RESIDUAL = 1e-14
 
 
-def invert_monotone(func, deriv, targets, x, lo, hi):
-    """Solve func(x) = targets elementwise for increasing ``func`` by Newton steps from ``x``.
+def invert_monotone(func, targets, x, lo, hi):
+    """Solve f(x) = targets elementwise for increasing f by Newton steps from ``x``.
 
+    ``func(x)`` returns the pair (f(x), f'(x)), so both come from one pass.
     A step that leaves the bracket [lo, hi], shrunk as residual signs are seen, bisects it;
     a step that rounds to zero keeps x, which may already be an end of the bracket.
     """
     for _ in range(_INVERT_MAX_STEPS):
-        f = func(x) - targets
+        f, deriv = func(x)
+        f = f - targets
         lo = np.where(f < 0, np.maximum(lo, x), lo)
         hi = np.where(f > 0, np.minimum(hi, x), hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - f / deriv(x)
+            newton = x - f / deriv
         bad = (~np.isfinite(newton) | (newton <= lo) | (newton >= hi)) & (newton != x)
         x = np.where(bad, 0.5 * (lo + hi), newton)
         if np.max(np.abs(f)) < _INVERT_RESIDUAL:

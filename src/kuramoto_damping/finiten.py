@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+_CHECK_ANGLES = 128  # equispaced angles at which a perturbed phase density must be >= 0
 
 
 @dataclass
@@ -67,25 +68,26 @@ def _van_der_corput(count):
     return out
 
 
-def _theta_cdf(theta, mode_values, epsilon):
-    """CDF of 1/2pi + eps r(0, theta, omega) at fixed omega.
+def _theta_cdf_density(theta, mode_values, epsilon):
+    """CDF and density of 1/2pi + eps r(0, theta, omega) at fixed omega.
 
-    ``mode_values`` maps mode k >= 1 to c_k(omega); the integral of
-    (1/2pi) sum_k c_k (e^{ik theta} - 1)/(ik) plus conjugates.
+    ``mode_values`` maps mode k >= 1 to c_k(omega).  The density adds
+    (eps/pi) Re c_k e^{ik theta} per mode to 1/2pi, the CDF the integral
+    (eps/pi) Re c_k (e^{ik theta} - 1)/(ik) to theta/2pi.  One exponential
+    e^{i theta} is taken; e^{ik theta} is its k-th power, built up in
+    increasing k.
     """
-    total = theta / TWO_PI
-    for k, c in mode_values.items():
-        total = total + (epsilon / np.pi) * np.real(
-            c * (np.exp(1j * k * theta) - 1.0) / (1j * k)
-        )
-    return total
-
-
-def _theta_density(theta, mode_values, epsilon):
-    total = np.ones_like(theta) / TWO_PI
-    for k, c in mode_values.items():
-        total = total + (epsilon / np.pi) * np.real(c * np.exp(1j * k * theta))
-    return total
+    unit = np.exp(1j * theta)
+    power, at = unit, 1
+    cdf, density = theta / TWO_PI, np.ones_like(theta) / TWO_PI
+    for k, c in sorted(mode_values.items()):
+        for _ in range(k - at):
+            power = power * unit
+        at = k
+        # Re(w / ik) = Im(w) / k
+        cdf += (epsilon / (np.pi * k)) * np.imag(c * (power - 1.0))
+        density += (epsilon / np.pi) * np.real(c * power)
+    return cdf, density
 
 
 def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling="quantile", seed=None):
@@ -103,6 +105,8 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
     modes = modes or {}
     if 0 in modes:
         raise InvalidPerturbation("mode 0 must vanish (mass conservation per frequency)")
+    if any(k < 1 for k in modes):
+        raise InvalidPerturbation(f"modes are numbered from 1, got {min(modes)}")
 
     if sampling == "quantile":
         freqs = np.asarray(dist.inverse_cdf((np.arange(count) + 0.5) / count), dtype=float)
@@ -119,14 +123,18 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
         amplitude = sum(np.abs(v) for v in mode_values.values())
         floor = 1.0 / TWO_PI - (epsilon / np.pi) * amplitude
         suspects = np.nonzero(floor < 0.0)[0]
-        theta_check = np.linspace(0.0, TWO_PI, 128, endpoint=False)[:, None]
-        local = {k: v[suspects] for k, v in mode_values.items()}
-        bad = suspects[np.min(_theta_density(theta_check, local, epsilon), axis=0) < -1e-12]
+        # the density at _CHECK_ANGLES equispaced angles is one inverse FFT of the c_k
+        coeffs = np.zeros((suspects.size, _CHECK_ANGLES), dtype=complex)
+        for k, v in mode_values.items():
+            coeffs[:, k % _CHECK_ANGLES] += v[suspects]
+        density = 1.0 / TWO_PI + (epsilon / np.pi) * np.fft.ifft(coeffs, norm="forward").real
+        bad = suspects[np.min(density, axis=1) < -1e-12]
         if bad.size:
             raise InvalidPerturbation(f"phase density negative at frequency {freqs[bad[0]]:.4g}")
-        cdf = lambda theta: _theta_cdf(theta, mode_values, epsilon)
-        density = lambda theta: _theta_density(theta, mode_values, epsilon)
-        phases = invert_monotone(cdf, density, targets, TWO_PI * targets, 0.0, TWO_PI)
+        phases = invert_monotone(
+            lambda theta: _theta_cdf_density(theta, mode_values, epsilon),
+            targets, TWO_PI * targets, 0.0, TWO_PI,
+        )
     else:
         phases = TWO_PI * targets
 

@@ -1,14 +1,16 @@
 """Second-kind memory-kernel equation for the linearized order parameter.
 
 Solves R(t) = F(t) + int_0^t G(t-s) R(s) ds on a uniform grid by product-
-trapezoidal marching: the diagonal term is implicit, one complex division per
-step, global accuracy O(dt^2), unconditionally stable for decaying kernels.
+trapezoidal marching: the diagonal term is implicit, global accuracy O(dt^2),
+unconditionally stable for decaying kernels.
 
 The history sums are built by the recursive FFT blocks of Hairer, Lubich and
 Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): N steps cost O(N log^2 N)
 instead of the O(N^2) of one dot product per step.  Each block's FFT product is
 exponentially tilted when |R| decays, so its rounding error follows |R| down
-the tail rather than sitting at eps * max|R|.
+the tail rather than sitting at eps * max|R|.  At the bottom of the recursion
+a leaf of at most ``_LEAF`` steps is a lower-triangular Toeplitz system, solved
+by one matrix-vector product with its inverse, which is built once per solve.
 
 For the oscillator ensemble the kernel is G(t) = (K/2) ghat(t) and the source
 F(t) is the free-transport image of the initial first mode (the nonlinear
@@ -42,7 +44,7 @@ __all__ = [
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _PHASE_BLOCK = 128  # mode source: offset rows, and anchor columns built at once
-_LEAF = 64  # steps marched with direct dot products at the bottom of the recursion
+_LEAF = 128  # steps solved by one matrix-vector product at the bottom of the recursion
 _MAX_TILT = 200.0  # cap on tilt rate x block length: e^200 is far from overflow
 # fit_decay leaves out |R| <= _NOISE_FLOOR and accepts RMS residuals up to _RESIDUAL_TOL.
 _NOISE_FLOOR, _RESIDUAL_TOL = 1e-14, 0.5
@@ -130,18 +132,41 @@ def _block_product(x, g):
     return prod / up[x.size - 1 :]
 
 
+def _leaf_inverse(G, dt, denom, size):
+    """Inverse of the leaf matrix A[i, j] = denom (i = j), -dt G[i-j] (i > j), 0 (i < j).
+
+    A is lower-triangular Toeplitz, so its inverse is too: the matrix of the
+    first column c, found by forward substitution (A c = e_0).  Its leading
+    n x n block inverts the leaf of n < size steps.  Real G and denom give a
+    real inverse.
+    """
+    c = np.zeros(size, dtype=G.dtype)
+    c[0] = 1.0 / denom
+    scaled = (dt / denom) * G[1:size]
+    for m in range(1, size):
+        c[m] = np.dot(scaled[:m], c[m - 1 :: -1])
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    return np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
+
+
 def solve(problem):
     """March the product-trapezoidal scheme over the grid.
 
     R_j = [F_j + dt (G_j R_0 / 2 + sum_{0<i<j} G_{j-i} R_i)] / (1 - dt G_0 / 2)
 
     The steps are split in halves recursively.  Once a left half is solved,
-    its whole contribution to the sums of the right half is added by one FFT
-    product (``_block_product``); blocks of at most ``_LEAF`` steps march one
-    step at a time with short dot products.  N steps take O(N log^2 N) work.
-    Against the one-dot-product-per-step march the values differ by rounding
-    only: about 1e-15 max|R| in absolute terms, and, where |R| decays, a
-    pointwise relative difference that stays near rounding down the tail.
+    its whole contribution to the sums of the right half is added to the
+    history by one FFT product (``_block_product``).  What is left in a block
+    of n <= ``_LEAF`` steps lo..hi-1 is the lower-triangular Toeplitz system
+
+        denom R_j - dt sum_{lo<=i<j} G_{j-i} R_i = F_j + dt history_j,
+
+    solved at once as R[lo:hi] = inv[:n, :n] @ (F + dt history)[lo:hi], with
+    ``inv`` from ``_leaf_inverse``.  N steps take O(N log^2 N) work.  Against
+    the one-dot-product-per-step march the values differ by rounding only:
+    about 1e-15 max|R| in absolute terms, and, where |R| decays, a pointwise
+    relative difference that stays near rounding down the tail.  A real
+    kernel and a real source give an exactly real R.
 
     Raises BlowupDetected when the kernel or the source is not finite on the
     grid (for instance a growing source that overflows).
@@ -153,24 +178,29 @@ def solve(problem):
     F = _sample(problem.source, times)
     if not (np.all(np.isfinite(G.view(float))) and np.all(np.isfinite(F.view(float)))):
         raise BlowupDetected("kernel or source not finite on the grid")
+    if not G.imag.any():
+        G = G.real
 
     denom = 1.0 - 0.5 * dt * G[0]
     if abs(denom) < 1e-12:
         raise StepSolveFailure(f"implicit diagonal factor 1 - dt G(0)/2 = {denom} is singular")
 
+    inv = _leaf_inverse(G, dt, denom, min(_LEAF, steps))
+    # a real inverse acts on the (re, im) pairs in real arithmetic, so a real
+    # kernel and source give an exactly real R however BLAS forms complex products
+    pairs = (lambda a: a) if np.iscomplexobj(inv) else (lambda a: a.view(float).reshape(-1, 2))
     R = np.zeros_like(F)
     R[0] = F[0]
     history = 0.5 * R[0] * G  # history[j]: the part of step j's sum known so far
 
     def march(lo, hi):
-        if hi - lo <= _LEAF:
-            for j in range(lo, hi):
-                near = np.dot(R[lo:j], G[j - lo : 0 : -1])
-                R[j] = (F[j] + dt * (history[j] + near)) / denom
+        n = hi - lo
+        if n <= _LEAF:
+            pairs(R)[lo:hi] = inv[:n, :n] @ pairs(F[lo:hi] + dt * history[lo:hi])
             return
         mid = (lo + hi) // 2
         march(lo, mid)
-        history[mid:hi] += _block_product(R[lo:mid], G[1 : hi - lo])
+        history[mid:hi] += _block_product(R[lo:mid], G[1:n])
         march(mid, hi)
 
     march(1, steps + 1)

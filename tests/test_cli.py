@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kuramoto_damping.cli import main
+from kuramoto_damping.cli import _CSV_CHUNK, _write_csv, main
 from kuramoto_damping.distributions import MAX_DERIVATIVE_ORDER
 
 
@@ -445,7 +445,7 @@ def _csv_input(tmp_path, rows):
     ids=["nan-ReF", "inf-ImF", "decreasing-t", "repeated-t", "witness-overflow",
          "short-csv", "late-start-csv", "header-only-csv"],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_or_disordered_input_exit_code(tmp_path, capsys, experiment, change, code):
     config = dict(_VALID[experiment](), **change(tmp_path))
     out = tmp_path / "out"
@@ -510,3 +510,116 @@ def test_linear_mode_source_on_narrow_two_bump(tmp_path):
     cfg = _write_config(tmp_path, "c.json", config)
     assert main(["linear", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "R.csv").exists()
+
+
+def _csv_reference(path, header, columns):
+    """The one-value-at-a-time writer: floats with 17 significant digits, the rest by str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*(np.asarray(column).tolist() for column in columns)):
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+_AWKWARD = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1,
+            -1.0 / 3.0, 1e-5, 123456789.0, 1e16, 2.0**53 + 2]
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+def test_csv_writer_matches_one_value_at_a_time(tmp_path, rows):
+    floats = np.resize(np.array(_AWKWARD), rows)
+    columns = [
+        floats,
+        floats[::-1].copy(),
+        np.arange(rows) - 3,  # integers
+        [f"{v:.17g};{-v:.17g}" for v in floats],  # text, as kc-scan's critical_omegas
+        [float(v) for v in floats],  # a list of Python floats
+        np.arange(rows) % 2 == 0,  # booleans
+    ]
+    header = ["a", "b", "c", "d", "e", "f"]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    _csv_reference(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _csv_body(rows):
+    return "".join(f"{t!r},{re!r},{im!r}\n" for t, re, im in rows)
+
+
+_F_ROWS = [(t, float(np.exp(-t)), 0.1 * t) for t in np.linspace(0.0, 1.0, 21).tolist()]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ImF,t,ReF\n" + "".join(f"{im!r},{t!r},{re!r}\n" for t, re, im in _F_ROWS),
+        "t,ReF,ImF,extra\n" + "".join(f"{t!r},{re!r},{im!r},abc\n" for t, re, im in _F_ROWS),
+        " t , ReF ,ImF \n" + _csv_body(_F_ROWS),
+        "# t , ReF,ImF,extra\n" + "".join(f"{t!r},{re!r},{im!r},7\n" for t, re, im in _F_ROWS),
+        "\nt,Re(F),Im(F)\n# a comment\n" + _csv_body(_F_ROWS) + "\n",
+    ],
+    ids=["reordered", "extra-column", "spaces", "commented-header", "witness-header"],
+)
+@pytest.mark.filterwarnings("error")
+def test_csv_input_header_forms_run(tmp_path, text):
+    # every layout must give the bytes of the plain t,ReF,ImF file
+    outs = []
+    for name, body in (("plain", "t,ReF,ImF\n" + _csv_body(_F_ROWS)), ("other", text)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(body)
+        config = dict(_VALID["linear"](), input={"type": "csv", "path": str(path)})
+        cfg = _write_config(tmp_path, f"{name}.json", config)
+        outs.append(tmp_path / name)
+        assert main(["linear", "--config", cfg, "--out", str(outs[-1])]) == 0
+    assert (outs[0] / "R.csv").read_bytes() == (outs[1] / "R.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t,ReF,Im\n" + _csv_body(_F_ROWS),
+        "t,ReF\n" + _csv_body(_F_ROWS),
+        "t,ReF,ImF\n0,1,0\n0.5,,0\n1,0.5,0\n",
+        "t,ReF,ImF\n0,1,0\n0.5,0.7\n1,0.5,0\n",
+        "t,ReF,ImF,extra\n0,1,0,1\n0.5,0.7,0\n1,0.5,0,1\n",
+        "t,ReF,ImF\n0,1,0,5\n0.5,0.7,0,5\n1,0.5,0,5\n",
+        "t,ReF,ImF\n0,1,0\n0.5,abc,0\n1,0.5,0\n",
+        "",
+        "t,ReF,ImF\n# no rows\n\n",
+    ],
+    ids=["missing-name", "missing-column", "empty-field", "short-row", "short-row-extra-column",
+         "long-row", "text-field", "empty-file", "comments-only"],
+)
+@pytest.mark.filterwarnings("error")
+def test_malformed_csv_input_is_config_error_without_artifacts(tmp_path, capsys, text):
+    path = tmp_path / "F.csv"
+    path.write_text(text)
+    config = dict(_VALID["linear"](), input={"type": "csv", "path": str(path)})
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main(["linear", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"t,Re(R),Im(R)\n0,1,0\n1,\xff\xfe,0\n",
+        b"t,Re(R),Im(R)\n0,1,0\n1,0.5\n",
+        b"t,Re(R)\n0,1\n",
+    ],
+    ids=["not-text", "short-row", "missing-column"],
+)
+def test_compare_with_malformed_run_csv_is_config_error(tmp_path, capsys, body):
+    runs = {"nonlinear": ("nl", "R.csv"), "finite-n": ("fn", "zn.csv")}
+    for experiment, (name, csv_name) in runs.items():
+        (tmp_path / name).mkdir()
+        sidecar = {"formatVersion": 1, "experiment": experiment, "config": {}}
+        (tmp_path / name / "config.json").write_text(json.dumps(sidecar))
+        (tmp_path / name / csv_name).write_bytes(body)
+    dirs = {"continuum_dir": str(tmp_path / "nl"), "finite_n_dir": str(tmp_path / "fn")}
+    cfg = _write_config(tmp_path, "cmp.json", dirs)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err

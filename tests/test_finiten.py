@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from kuramoto_damping.distributions import Cauchy, Gaussian
+from kuramoto_damping.distributions import Cauchy, Gaussian, invert_monotone
 from kuramoto_damping.exceptions import InvalidPerturbation
 from kuramoto_damping.finiten import (
     FiniteNState,
@@ -65,6 +65,8 @@ def test_negative_phase_density_rejected():
         sample_oscillators(Gaussian(1.0), 32, 1.0, epsilon=0.9, modes={1: _unit})
     with pytest.raises(InvalidPerturbation):
         sample_oscillators(Gaussian(1.0), 32, 1.0, epsilon=0.1, modes={0: _unit})
+    with pytest.raises(InvalidPerturbation, match="numbered from 1"):
+        sample_oscillators(Gaussian(1.0), 32, 1.0, epsilon=0.1, modes={-1: _unit})
     # the message names the lowest frequency whose phase density dips below zero
     freqs = sample_oscillators(Gaussian(1.0), 32, 1.0).frequencies
     step = {1: lambda w: np.where(np.asarray(w) > 0.3, 1.0, 0.0) + 0j}
@@ -83,6 +85,50 @@ def test_van_der_corput_matches_digit_loop(count):
             x += rem / denom
         expected[i] = x
     assert np.array_equal(_van_der_corput(count), expected)
+
+
+def _ott_antonsen_modes(eps, count=40):
+    return {k: (lambda w, c=eps ** (k - 1): np.full(np.shape(w), c, dtype=complex))
+            for k in range(1, count + 1)}
+
+
+def _per_mode_phases(state, modes, eps):
+    """Phases drawn with one exponential per mode and oscillator: the reference formula."""
+    values = {k: profile(state.frequencies) for k, profile in modes.items()}
+
+    def cdf_density(theta):
+        cdf, density = theta / (2 * np.pi), np.ones_like(theta) / (2 * np.pi)
+        for k, c in values.items():
+            cdf = cdf + (eps / np.pi) * np.real(c * (np.exp(1j * k * theta) - 1.0) / (1j * k))
+            density = density + (eps / np.pi) * np.real(c * np.exp(1j * k * theta))
+        return cdf, density
+
+    targets = _van_der_corput(state.count)
+    phases = invert_monotone(cdf_density, targets, 2 * np.pi * targets, 0.0, 2 * np.pi)
+    return np.mod(phases, 2 * np.pi)
+
+
+_GAPPED_MODES = {
+    5: lambda w: 0.5j * np.exp(-np.asarray(w) ** 2) + 0j,
+    2: lambda w: np.ones_like(np.asarray(w), dtype=complex),
+    9: lambda w: (0.3 - 0.4j) * np.cos(np.asarray(w)) + 0j,
+}
+
+
+@pytest.mark.parametrize(
+    "modes, eps", [(_ott_antonsen_modes(0.5), 0.5), (_GAPPED_MODES, 0.1)],
+    ids=["ott-antonsen-40", "gapped"],
+)
+def test_many_mode_phases_match_per_mode_exponentials(modes, eps):
+    # e^{ik theta} as powers of one e^{i theta}: rounding-level changes only
+    state = sample_oscillators(Cauchy(1.0), 2000, 1.0, epsilon=eps, modes=modes)
+    turn = np.angle(np.exp(1j * (state.phases - _per_mode_phases(state, modes, eps))))
+    assert np.max(np.abs(turn)) <= 1e-12
+
+
+def test_one_mode_phases_equal_per_mode_exponentials():
+    state = sample_oscillators(Gaussian(1.0), 1000, 1.0, epsilon=0.05, modes={1: _unit})
+    np.testing.assert_array_equal(state.phases, _per_mode_phases(state, {1: _unit}, 0.05))
 
 
 def test_rejects_tiny_population():
@@ -215,9 +261,9 @@ def _ott_antonsen(times, coupling, eps, delta=1.0):
 
 @lru_cache(maxsize=None)
 def _ott_antonsen_error(coupling, eps, count):
-    modes = {k: (lambda w, c=eps ** (k - 1): np.full(np.shape(w), c, dtype=complex))
-             for k in range(1, 41)}
-    state = sample_oscillators(Cauchy(1.0), count, coupling, epsilon=eps, modes=modes)
+    state = sample_oscillators(
+        Cauchy(1.0), count, coupling, epsilon=eps, modes=_ott_antonsen_modes(eps)
+    )
     times, z = simulate(state, 0.01, 6.0, output_every=10)
     return float(np.max(np.abs(z - eps * np.conj(_ott_antonsen(times, coupling, eps)))))
 

@@ -9,11 +9,13 @@ from kuramoto_damping.dispersion import DispersionRelation, critical_coupling, f
 from kuramoto_damping.distributions import Cauchy, Gaussian, bi_cauchy, build_grid
 from kuramoto_damping.exceptions import StepSolveFailure, UnstableKernel, WindowTooNoisy
 from kuramoto_damping.volterra import (
+    _LEAF,
     MAX_STEPS,
     VolterraProblem,
     VolterraSolution,
     _block_product,
     _cumulative_transform,
+    _leaf_inverse,
     empirical_stability_constant,
     fit_decay,
     instability_witness,
@@ -152,6 +154,14 @@ def _rotating(t):
     return np.exp(1j * t) / (1.0 + t) ** 2
 
 
+# single leaves shorter than _LEAF (leading blocks of the leaf inverse), a full
+# leaf, the first splits, and several recursion levels of the FFT blocks
+_MARCH_STEPS = sorted(
+    {1, 2, _LEAF // 2 - 1, _LEAF // 2, _LEAF // 2 + 1, _LEAF - 1, _LEAF, _LEAF + 1,
+     2 * _LEAF + 1, 1000, 4001}
+)
+
+
 @pytest.mark.parametrize(
     "dist, coupling, source",
     [
@@ -163,9 +173,8 @@ def _rotating(t):
     ],
     ids=["cauchy", "gaussian", "two-bump", "unstable-cauchy", "complex-source"],
 )
-@pytest.mark.parametrize("steps", [1, 2, 63, 64, 65, 1000, 4001])
+@pytest.mark.parametrize("steps", _MARCH_STEPS)
 def test_block_march_matches_direct_march(dist, coupling, source, steps):
-    # leaves, uneven splits and several recursion levels of the FFT blocks;
     # F = ghat unless a source is given
     dt = 0.01
     kernel = kuramoto_kernel(dist, coupling)
@@ -179,6 +188,24 @@ def test_block_march_matches_direct_march(dist, coupling, source, steps):
     if not (np.any(G.imag) or np.any(F.imag)):
         # a real kernel and source give an exactly real solution
         assert not np.any(sol.values.imag)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda t: np.exp(-t), lambda t: 40.0 * np.exp(-t) * np.cos(3.0 * t), _rotating],
+    ids=["real", "real-oscillating", "complex"],
+)
+def test_leaf_inverse_is_the_dense_inverse(kernel):
+    dt = 0.01
+    G = np.asarray(kernel(dt * np.arange(_LEAF)))
+    denom = 1.0 - 0.5 * dt * G[0]
+    lag = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))
+    dense = np.where(lag > 0, -dt * G[np.abs(lag)], 0.0) + denom * np.eye(_LEAF)
+    ref = np.linalg.inv(dense)
+    inv = _leaf_inverse(G, dt, denom, _LEAF)
+    assert np.max(np.abs(inv - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert not np.any(np.triu(inv, 1))  # exactly causal
+    assert np.iscomplexobj(inv) == np.iscomplexobj(G)
 
 
 def test_block_product_is_not_tilted_past_a_slowly_decaying_kernel():
