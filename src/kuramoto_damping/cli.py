@@ -1,8 +1,8 @@
 """Config-driven experiment runner.
 
-Usage: kuramoto-damping <subcommand> --config path.json [--out dir]
+Usage: kuramoto-damping <experiment> --config path.json [--out dir]
 
-Subcommands: stability | kc-scan | linear | witness | nonlinear | finite-n |
+Experiments: stability | kc-scan | linear | witness | nonlinear | finite-n |
 compare.  Every experiment reads a strict JSON config (unknown keys are
 rejected), writes deterministically named CSV/JSON artifacts into the output
 directory, and drops a config.json sidecar carrying the resolved config and a
@@ -418,11 +418,10 @@ def run_witness(config, outdir):
             f"ln(max float) = {math.log(sys.float_info.max):.4f}"
         )
     solution = volterra.solve(problem)
-    f_vals = np.asarray(source(solution.times))
     _write_csv(
         outdir / "witness_F.csv",
         ["t", "Re(F)", "Im(F)"],
-        [solution.times, f_vals.real, f_vals.imag],
+        [solution.times, solution.source.real, solution.source.imag],
     )
     _order_parameter_csv(outdir / "R.csv", solution.times, solution.values, 0)
 
@@ -650,11 +649,9 @@ def main(argv=None):
         description="Experiments on damping of the incoherent state in the mean-field "
         "oscillator ensemble",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", default=None, help="output directory (default out-<experiment>)")
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", required=True, help="experiment config JSON")
+    parser.add_argument("--out", default=None, help="output directory (default out-<experiment>)")
     args = parser.parse_args(argv)
 
     try:

@@ -19,10 +19,10 @@ feedback term is handled by the mode simulation, not here).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .dispersion import DispersionRelation, find_unstable_root
 from .exceptions import (
@@ -52,6 +52,25 @@ _NOISE_FLOOR, _RESIDUAL_TOL = 1e-14, 0.5
 MAX_STEPS = 10**7
 
 
+def _smooth_lengths(limit):
+    """Sorted 2^a 3^b 5^c 7^d 11^e <= limit: the lengths pocketfft transforms fastest."""
+    lengths = np.ones(1, dtype=np.int64)
+    for prime in (2, 3, 5, 7, 11):
+        powers = prime ** np.arange(int(np.log(limit) / np.log(prime)) + 1, dtype=np.int64)
+        lengths = np.multiply.outer(lengths, powers).ravel()
+        lengths = lengths[lengths <= limit]
+    return np.sort(lengths).tolist()
+
+
+# a block product has fewer than MAX_STEPS entries, and 2 MAX_STEPS holds a power of two above that
+_FAST_LENGTHS = _smooth_lengths(2 * MAX_STEPS)
+
+
+def _fast_len(n):
+    """The smallest 11-smooth length >= n."""
+    return _FAST_LENGTHS[bisect.bisect_left(_FAST_LENGTHS, n)]
+
+
 @dataclass
 class VolterraProblem:
     """One marching problem: kernel G, source F, uniform grid parameters."""
@@ -73,10 +92,14 @@ class VolterraProblem:
 
 @dataclass
 class VolterraSolution:
-    """Solution samples on the uniform grid; R(0) equals F(0) exactly."""
+    """Solution samples on the uniform grid; R(0) equals F(0) exactly.
+
+    ``source`` holds the samples of F on the same grid when ``solve`` made them.
+    """
 
     times: np.ndarray
     values: np.ndarray
+    source: np.ndarray | None = None
 
     def weighted_sup(self, n, up_to=None):
         """max over the grid (restricted to t <= up_to) of (1+t)^n |R(t)|."""
@@ -122,14 +145,17 @@ def _block_product(x, g):
     """Entries x.size-1 .. g.size-1 of the linear convolution of x and g.
 
     One tilted FFT product of length g.size; its wrap-around lands only on
-    earlier entries.  Real x and g give a real product, as a direct sum would.
+    earlier entries.  Real x and g take the real-input transforms, at half the
+    work, and give a real product, as a direct sum would.
     """
     up = _tilt(x, g)
-    size = fft.next_fast_len(g.size)
-    prod = fft.ifft(fft.fft(x * up[: x.size], size) * fft.fft(g * up, size))[x.size - 1 : g.size]
-    if not (x.imag.any() or g.imag.any()):
-        prod = prod.real  # the imaginary part is rounding noise
-    return prod / up[x.size - 1 :]
+    size = _fast_len(g.size)
+    if x.imag.any() or g.imag.any():
+        prod = np.fft.ifft(np.fft.fft(x * up[: x.size], size) * np.fft.fft(g * up, size))
+    else:
+        spectrum = np.fft.rfft(x.real * up[: x.size], size) * np.fft.rfft(g.real * up, size)
+        prod = np.fft.irfft(spectrum, size)
+    return prod[x.size - 1 : g.size] / up[x.size - 1 :]
 
 
 def _leaf_inverse(G, dt, denom, size):
@@ -204,7 +230,7 @@ def solve(problem):
         march(mid, hi)
 
     march(1, steps + 1)
-    return VolterraSolution(times=times, values=R)
+    return VolterraSolution(times=times, values=R, source=F)
 
 
 def kuramoto_kernel(dist, coupling):
@@ -331,8 +357,7 @@ def empirical_stability_constant(dist, coupling, weight_order, sources, time_ste
     ratios = {h: 0.0 for h in horizons}
     for source in sources:
         sol = solve(VolterraProblem(kernel, source, time_step, horizon))
-        f_vals = _sample(source, sol.times)
-        f_sol = VolterraSolution(times=sol.times, values=f_vals)
+        f_sol = VolterraSolution(times=sol.times, values=sol.source)
         entry = {}
         for h in horizons:
             num = sol.weighted_sup(weight_order, up_to=h)

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from kuramoto_damping import volterra
 from kuramoto_damping.cli import _CSV_CHUNK, _write_csv, main
-from kuramoto_damping.distributions import MAX_DERIVATIVE_ORDER
+from kuramoto_damping.distributions import MAX_DERIVATIVE_ORDER, Cauchy
 
 
 def _write_config(tmp_path, name, payload):
@@ -62,6 +63,26 @@ def test_unknown_key_rejected_without_artifacts(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["stability", "--config", str(tmp_path / "nope.json")]) == 2
     assert "does not exist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus", "--config", "c.json"], ["stability"], ["stability", "--config"],
+     ["stability", "--config", "c.json", "--bogus", "1"]],
+    ids=["empty", "unknown-experiment", "no-config", "config-without-path", "unknown-flag"],
+)
+def test_usage_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: kuramoto-damping" in capsys.readouterr().err
+
+
+def test_options_may_precede_the_experiment(tmp_path):
+    cfg = _write_config(tmp_path, "c.json", {"distribution": TWO_BUMP, "coupling": 3.9})
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--config", cfg, "stability"]) == 0
+    assert json.loads((out / "config.json").read_text())["experiment"] == "stability"
 
 
 def test_invalid_json_rejected(tmp_path):
@@ -138,6 +159,34 @@ def test_witness_run_confirms_growth(tmp_path):
     assert report["predictedRate"] == pytest.approx(1.0, abs=1e-6)
     assert report["verdict"] == "GrowthConfirmed"
     assert (out / "witness_F.csv").exists()
+
+
+def test_witness_samples_its_source_once(tmp_path, monkeypatch):
+    witness = volterra.instability_witness
+    calls = []
+
+    def counted_witness(*args):
+        source, rate = witness(*args)
+
+        def counted(t):
+            calls.append(t)
+            return source(t)
+
+        return counted, rate
+
+    monkeypatch.setattr(volterra, "instability_witness", counted_witness)
+    cfg = _write_config(
+        tmp_path,
+        "c.json",
+        {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 4.0, "dt": 0.01,
+         "horizon": 2.0},
+    )
+    out = tmp_path / "out"
+    assert main(["witness", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    written = np.loadtxt(out / "witness_F.csv", delimiter=",", skiprows=1)
+    expected = witness(Cauchy(1.0), 4.0, 1.0)[0](written[:, 0])
+    np.testing.assert_array_equal(written[:, 1] + 1j * written[:, 2], expected)
 
 
 def test_witness_on_stable_kernel_is_numeric_failure(tmp_path, capsys):

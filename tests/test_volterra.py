@@ -43,6 +43,18 @@ def test_zero_kernel_returns_source_exactly():
     np.testing.assert_array_equal(sol.values, expected)
 
 
+def test_solution_carries_the_source_samples():
+    calls = []
+
+    def source(t):
+        calls.append(t)
+        return np.cos(t) + 1j * np.sin(2 * t)
+
+    sol = solve(VolterraProblem(lambda t: np.exp(-t), source, 0.01, 5.0))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(sol.source, source(sol.times))
+
+
 def test_step_count_cap():
     # construction only: a problem at the cap is accepted, one step more is not
     VolterraProblem(_zeros, _ones, 0.5, 0.5 * MAX_STEPS)
