@@ -461,6 +461,12 @@ def run_nonlinear(config, outdir):
     # run checks the step-size bound and the weight order before it marches
     with _constructing("nonlinear"):
         snapshot_times = tuple(_numbers(config.get("snapshot_times", ()), "nonlinear.snapshot_times"))
+        # the slack admits a last snapshot time computed as steps * dt
+        if any(not 0.0 <= t <= horizon * (1.0 + 1e-12) for t in snapshot_times):
+            raise ConfigError(
+                f"nonlinear: snapshot_times must lie in [0, horizon = {horizon}], "
+                f"got {list(snapshot_times)}"
+            )
         modes = _perturbation_modes(config["initial_perturbation"], "nonlinear.initial_perturbation")
         grid = build_grid(dist, nodes, _number(config, "mass_threshold", "nonlinear", 1.0 - 1e-8))
         state = spectral.initialize(dist, grid, k_max, epsilon, coupling, modes=modes)

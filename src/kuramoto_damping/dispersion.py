@@ -422,8 +422,9 @@ def _newton_root(relation, kc, crit):
                 converged = True
                 break
             below = complex(z.real, min(z.imag, -1e-9))
-            rise = relation.evaluate(below + _DIFF_STEP) - relation.evaluate(below - _DIFF_STEP)
-            deriv = rise / (2.0 * _DIFF_STEP)
+            pair = np.array([below + _DIFF_STEP, below - _DIFF_STEP])
+            ahead, behind = relation.evaluate(pair).tolist()  # rounds as scalar calls did
+            deriv = (ahead - behind) / (2.0 * _DIFF_STEP)
             if deriv == 0:
                 break
             step = val / deriv
@@ -437,7 +438,7 @@ def _newton_root(relation, kc, crit):
                 lam *= 0.5
             else:
                 break
-        if converged and z.imag < 0 and abs(relation.evaluate(z)) <= _ROOT_TOL:
+        if converged and z.imag < 0:  # val = D(z) already passed the tolerance
             return z
     raise RootNotConverged(
         f"no unstable root converged from {len(seeds)} seeds at coupling {relation.coupling}"

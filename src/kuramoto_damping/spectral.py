@@ -15,15 +15,20 @@ Free transport (the -i k omega term) is a pure phase rotation, so the stepper
 is an integrating-factor (Lawson) RK4: the transport factor is applied exactly
 and classical RK4 integrates only the coupling part.  With K = 0 the scheme
 reproduces the analytic rotation to roundoff, and the coupled dynamics
-converges at fourth order in the step size.  Each ``run`` or ``step`` call
-builds one stepper: the half- and full-step phase tables and a fixed set of
-(k_max, J) work arrays, reused by every step of that call.
+converges at fourth order in the step size.  The coupling part of row k is
+k (a c_{k-1} + b c_{k+1}), plus g on row 1, with scalars a, g proportional to
+R and b to conj(R).  Each ``run`` or ``step`` call builds one stepper: the
+half- and full-step phase tables P and Q, the tables P k, Q k/3, 2 P k/3, k
+and k/3 that fold the row factor and the RK4 weights into them, and a fixed
+set of (k_max, J) work arrays, all reused by every step of that call.
 
 Sobolev diagnostics act on the transport-frame profile p = (unwound r) * g,
 whose mode amplitudes are c_k e^{+i k omega t} g(omega); theta derivatives are
 exact (i k)^a factors, omega derivatives use second-order finite differences
-on the nonuniform grid.  ``run`` builds those omega stencils once per run and
-hands them to every record; nothing is cached between calls.
+on the nonuniform grid, applied by one slice per stencil offset.  ``run``
+builds those omega stencils once per run and hands them to every record, and
+``scattering_profile`` builds them once per call for all its pairs; nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -157,56 +162,69 @@ def order_parameter(state):
     return complex(np.dot(state.grid.weights, state.coeffs[0]))
 
 
-def _coupling(y, state, rate, scale, out, work):
-    """Write ``scale`` times the non-transport part of dc/dt at ``y`` into ``out``.
+def _coupling(y, weights, gain, epsilon, out, work):
+    """Write the coupling part of dc/dt at ``y``, less its row factor k, into ``out``.
 
-    ``rate`` is the column -i k for rows k = 1..k_max.  Row k is
-    a_k y_{k-1} + b_k y_{k+1}, with a_k = -i k eps v+ and b_k = -i k eps v-
-    (c_0 = 0 and the closure c_{k_max+1} = 0 drop the missing neighbours), and
-    row 1 also gets the constant -i v+.  ``work`` is scratch of y's shape.
+    With h = gain R and R = sum_j w_j y_1, row k is a y_{k-1} + b y_{k+1} with
+    a = eps h and b = -eps conj(h) (c_0 = 0 and the closure c_{k_max+1} = 0
+    drop the missing neighbours), and row 1 also gets h; times k this is
+    -i k [v+ (delta_{k,1} + eps c_{k-1}) + v- eps c_{k+1}] when gain = K/2.
+    ``work`` is scratch of y's shape.
     """
-    R = np.dot(state.grid.weights, y[0])
-    v_plus = 0.5j * state.coupling * scale * R
-    v_minus = -0.5j * state.coupling * scale * np.conj(R)
-    np.multiply(y[:-1], rate[1:] * (state.epsilon * v_plus), out=out[1:])
-    out[0] = -1j * v_plus
-    np.multiply(y[1:], rate[:-1] * (state.epsilon * v_minus), out=work[:-1])
+    h = gain * np.dot(weights, y[0])
+    np.multiply(y[:-1], epsilon * h, out=out[1:])
+    out[0] = h
+    np.multiply(y[1:], -epsilon * np.conj(h), out=work[:-1])
     out[:-1] += work[:-1]
 
 
 def rhs(state):
     """Full time derivative of the mode coefficients (transport + coupling)."""
-    rate = -1j * np.arange(1, state.k_max + 1, dtype=float)[:, None]
+    k = np.arange(1, state.k_max + 1, dtype=float)[:, None]
     deriv = np.empty_like(state.coeffs)
-    _coupling(state.coeffs, state, rate, 1.0, deriv, np.empty_like(deriv))
-    return deriv + rate * state.grid.nodes[None, :] * state.coeffs
+    _coupling(
+        state.coeffs, state.grid.weights, 0.5 * state.coupling, state.epsilon,
+        deriv, np.empty_like(deriv),
+    )
+    return k * deriv - 1j * k * state.grid.nodes[None, :] * state.coeffs
 
 
 class _LawsonStepper:
     """Integrating-factor (Lawson) RK4 steps of one state at one step size.
 
-    Built once per ``run`` or ``step`` call.  It holds the transport factors
-    P = exp(-i k omega dt/2) and Q = exp(-i k omega dt) and a fixed set of
-    (k_max, J) work arrays, and marches its own copy of the coefficients, so
-    no array a caller already holds is written.  With N the coupling part of
-    dc/dt, one step is
+    Built once per ``run`` or ``step`` call.  With N = k M the coupling part of
+    dc/dt (M from ``_coupling`` at gain K dt/4, so k M_i = dt/2 k_i), the
+    transport factors P = exp(-i k omega dt/2) and Q = exp(-i k omega dt), one
+    step is
 
-        k1 = N(c),  k2 = N(P (c + dt/2 k1)),  k3 = N(P c + dt/2 k2),
-        k4 = N(Q c + dt P k3),
-        c <- Q c + dt/6 (Q k1 + 2 P (k2 + k3) + k4),
+        y2 = P c + P k M1,  y3 = P c + k M2,  y4 = Q c + 2 P k M3,
+        c <- Q c + (Q k/3) M1 + (2 P k/3) (M2 + M3) + (k/3) M4,
 
-    with each stage scalar folded into the coupling coefficients.  The update
-    applies Q itself, not P twice, and adds the coupling increment to Q c last,
-    so free transport stays exact and c is rounded as in the plain formula.
+    the classical dt/6 (Q k1 + 2 P (k2 + k3) + k4).  The row factor k and the
+    weights 1/3 and 2/3 are folded into the tables P k, Q k/3, 2 P k/3, k and
+    k/3, built here next to P and Q, so every pass over a (k_max, J) array is
+    an array-by-array product, an array-by-scalar product or an in-place op.
+    Q is computed directly, not as P squared, and the coupling increment is
+    added to Q c last, so free transport stays an exact rotation.  The stepper
+    marches its own copy of the coefficients, so no array a caller already
+    holds is written.
     """
 
     def __init__(self, state, dt):
         self.state = state
         self.dt = dt
-        self.rate = -1j * np.arange(1, state.k_max + 1, dtype=float)[:, None]
-        lam = self.rate * state.grid.nodes[None, :]
+        self.gain = 0.25 * dt * state.coupling
+        k = np.arange(1, state.k_max + 1, dtype=float)[:, None]
+        lam = -1j * k * state.grid.nodes[None, :]
         self.p_half = np.exp(lam * (0.5 * dt))
         self.p_full = np.exp(lam * dt)
+        self.p_k = self.p_half * k
+        self.q_third = self.p_full * (k / 3.0)
+        self.p_two_thirds = self.p_half * (2.0 * k / 3.0)
+        # full complex tables: a product against a (k_max, 1) column runs at
+        # about half the speed of one against an array of the same shape
+        self.k = np.broadcast_to(k, lam.shape).astype(complex)
+        self.k_third = self.k / 3.0
         self.coeffs = np.array(state.coeffs, dtype=complex)
         self.stage, self.slope, self.total, self.middle, self.rotated, self.work = (
             np.empty_like(self.coeffs) for _ in range(6)
@@ -215,30 +233,31 @@ class _LawsonStepper:
 
     def advance(self):
         """One step in place, then the blowup guard."""
-        state, dt, rate, work = self.state, self.dt, self.rate, self.work
-        p, c, y, s = self.p_half, self.coeffs, self.stage, self.slope
-        acc, mid, u = self.total, self.middle, self.rotated
-        _coupling(c, state, rate, 0.5 * dt, s, work)  # s = dt/2 k1
-        np.add(c, s, out=y)
-        np.multiply(p, y, out=y)
-        np.multiply(self.p_full, s, out=acc)
-        _coupling(y, state, rate, 0.5 * dt, mid, work)  # mid = dt/2 k2
-        np.multiply(p, c, out=u)
-        np.add(u, mid, out=y)
-        _coupling(y, state, rate, 0.5 * dt, s, work)  # s = dt/2 k3
-        mid += s
-        np.add(s, s, out=y)
-        y += u
-        np.multiply(p, y, out=y)
-        np.multiply(p, mid, out=mid)
-        acc += mid
-        acc += mid
-        _coupling(y, state, rate, 0.5 * dt, s, work)  # s = dt/2 k4
-        acc += s
-        acc *= 1.0 / 3.0  # dt/6 (Q k1 + 2 P (k2 + k3) + k4)
-        np.multiply(self.p_full, c, out=c)
+        state, work = self.state, self.work
+        weights, gain, eps = state.grid.weights, self.gain, state.epsilon
+        c, y, m, mid = self.coeffs, self.stage, self.slope, self.middle
+        acc, u = self.total, self.rotated
+        _coupling(c, weights, gain, eps, m, work)  # M1
+        np.multiply(self.p_half, c, out=u)  # P c
+        np.multiply(self.p_k, m, out=y)
+        y += u  # y2
+        np.multiply(self.q_third, m, out=acc)
+        _coupling(y, weights, gain, eps, mid, work)  # M2
+        np.multiply(self.k, mid, out=y)
+        y += u  # y3
+        _coupling(y, weights, gain, eps, m, work)  # M3
+        mid += m  # M2 + M3
+        np.multiply(self.p_full, c, out=c)  # Q c; numpy's complex product is not bitwise symmetric
+        np.multiply(self.p_k, m, out=y)
+        y += y  # doubling is exact: 2 P k M3
+        y += c  # y4
+        np.multiply(self.p_two_thirds, mid, out=work)
+        acc += work
+        _coupling(y, weights, gain, eps, m, work)  # M4
+        np.multiply(self.k_third, m, out=work)
+        acc += work
         c += acc
-        state.time += dt
+        state.time += self.dt
         _check_blowup(state)
 
 
@@ -298,7 +317,9 @@ def run(
 
     Enforces the step-size precondition, emits R(t), the three bootstrap
     diagnostics at the requested weight order, and unwound-profile snapshots
-    at the output times nearest to ``snapshot_times``.
+    at the output times nearest to ``snapshot_times``: an output takes one
+    snapshot for every requested time within half an output interval of it,
+    and a requested time that no output matched is dropped once passed.
     """
     bound = stability_time_step_bound(state)
     if time_step > bound * (1.0 + 1e-12):
@@ -307,9 +328,10 @@ def run(
     stepper = _LawsonStepper(state, time_step)
     stencils = None
     if collect_diagnostics:
-        stencils = [_stencils(state.grid.nodes, b) for b in range(1, weight_order + 1)]
+        stencils = _stencils(state.grid.nodes, weight_order)
 
-    wanted = sorted(set(float(t) for t in snapshot_times))
+    wanted = [float(t) for t in snapshot_times]
+    reach = 0.5 * time_step * output_every
     times, orders = [], []
     diag = ([], [])
     snapshots = {}
@@ -323,9 +345,9 @@ def run(
             over, low = sobolev_diagnostics(state, weight_order, stencils)
             diag[0].append(over)
             diag[1].append(low)
-        if wanted and abs(t - wanted[0]) <= 0.5 * time_step * output_every:
+        if any(abs(t - w) <= reach for w in wanted):
             snapshots[t] = unwound_profile(state)
-            wanted.pop(0)
+        wanted[:] = [w for w in wanted if w > t + reach]
 
     record()
     for i in range(1, steps + 1):
@@ -390,12 +412,12 @@ def _fornberg_weights(x, x0, max_order):
     return c
 
 
-def _stencils(nodes, order):
-    """Banded finite-difference stencils for d^order/domega^order on the nodes.
+def _stencil(nodes, order):
+    """Banded finite-difference stencil for d^order/domega^order on the nodes.
 
-    Returns (idx, W), both of shape (J, order + 3): row i of the derivative is
-    sum_s W[i, s] f[idx[i, s]].  Two points beyond the order give ~2nd-order
-    accuracy; stencils shift inward at the ends of the grid.
+    Returns (idx, W) of shapes (J, order + 3) and (order + 3, J): row i of the
+    derivative is sum_s W[s, i] f[idx[i, s]].  Two points beyond the order
+    give ~2nd-order accuracy; stencils shift inward at the ends of the grid.
     """
     width = order + 3
     if nodes.size < width:
@@ -411,22 +433,43 @@ def _stencils(nodes, order):
         raise GridTooCoarse(
             f"stencil at node {i} spans gap ratio {ratio[i]:.1f} (limit {_MAX_GAP_RATIO})"
         )
-    return idx, _fornberg_weights(sten, nodes, order)[:, :, order]
+    return idx, np.ascontiguousarray(_fornberg_weights(sten, nodes, order)[:, :, order].T)
+
+
+def _stencils(nodes, order):
+    """The stencils of ``_stencil`` for derivative orders 1..order."""
+    return [_stencil(nodes, b) for b in range(1, order + 1)]
 
 
 def _derivative_amplitudes(grid, profile, order, stencils=None):
     """sum_j wbar_j (1 + omega_j^2) |d^b p_k / d omega^b|^2 for b = 0..order.
 
     Returns shape (order + 1, k_max): one row per derivative order.
-    ``stencils``, when given, holds ``_stencils(grid.nodes, b)`` for
-    b = 1..order; otherwise they are built here.
+    ``stencils``, when given, is ``_stencils(grid.nodes, order)``; otherwise
+    it is built here.  A stencil applies by one slice per offset on
+    the rows where it is centred; only the rows at each end, whose stencils
+    are shifted inward, gather their nodes.
     """
     profile = np.asarray(profile)
+    if stencils is None:
+        stencils = _stencils(grid.nodes, order)
     weight = grid.bare_weights * (1.0 + grid.nodes**2)
     amps = [np.abs(profile) ** 2 @ weight]
-    for b in range(1, order + 1):
-        idx, W = stencils[b - 1] if stencils is not None else _stencils(grid.nodes, b)
-        amps.append(np.abs((profile[:, idx] * W).sum(-1)) ** 2 @ weight)
+    size = profile.shape[-1]
+    deriv = np.empty(profile.shape, dtype=np.result_type(profile, float))
+    term = np.empty_like(deriv)
+    for idx, W in stencils:
+        width = W.shape[0]
+        count = size - width + 1  # rows whose stencil is centred, not shifted inward
+        centred = slice(width // 2, width // 2 + count)
+        inner, scratch = deriv[:, centred], term[:, centred]
+        np.multiply(profile[:, :count], W[0, centred], out=inner)
+        for s in range(1, width):
+            np.multiply(profile[:, s : s + count], W[s, centred], out=scratch)
+            inner += scratch
+        edges = np.r_[: centred.start, centred.stop : size]
+        deriv[:, edges] = (profile[:, idx[edges]] * W[:, edges].T).sum(-1)
+        amps.append(np.abs(deriv) ** 2 @ weight)
     return np.array(amps)
 
 
@@ -439,15 +482,17 @@ def _norm_from_amplitudes(amps, order):
     return math.sqrt(total / np.pi)
 
 
-def profile_sobolev_norm(grid, profile, order):
+def profile_sobolev_norm(grid, profile, order, stencils=None):
     """Discrete cylinder Sobolev norm of a mode-amplitude profile.
 
     ||p||^2 = (1/pi) sum_{k>=1} sum_{a+b<=order} k^{2a}
               sum_j wbar_j (1 + omega_j^2) |d^b p_k / d omega^b|^2,
     the exact discretization of the weighted norm for the stored convention
-    p = (1/2pi) sum_k p_k e^{ik theta} with conjugate symmetry.
+    p = (1/2pi) sum_k p_k e^{ik theta} with conjugate symmetry.  ``stencils``
+    is as for ``sobolev_diagnostics``.
     """
-    return _norm_from_amplitudes(_derivative_amplitudes(grid, profile, order), order)
+    amps = _derivative_amplitudes(grid, profile, order, stencils)
+    return _norm_from_amplitudes(amps, order)
 
 
 def sobolev_diagnostics(state, order, stencils=None):
@@ -488,10 +533,11 @@ def scattering_profile(result, order=4):
     if len(result.snapshots) < 3:
         raise ValueError("scattering check needs at least 3 snapshots")
     times = sorted(result.snapshots)
+    stencils = _stencils(result.grid.nodes, order - 2)
     pair_norms = []
     for t0, t1 in zip(times[:-1], times[1:]):
         diff = result.snapshots[t1] - result.snapshots[t0]
-        pair_norms.append(profile_sobolev_norm(result.grid, diff, order - 2))
+        pair_norms.append(profile_sobolev_norm(result.grid, diff, order - 2, stencils))
     converged = all(b < a for a, b in zip(pair_norms[:-1], pair_norms[1:]))
     return ScatteringReport(
         snapshot_times=[float(t) for t in times],

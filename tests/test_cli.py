@@ -398,6 +398,11 @@ _VALID = {
         ("nonlinear", "initial_perturbation",
          {"modes": [{"mode": 1, "kind": "constant", "value": [0.5, True]}]}),
         ("nonlinear", "snapshot_times", [True]),
+        # snapshot times lie in [0, horizon]; this nonlinear horizon is 0.1
+        pytest.param("nonlinear", "snapshot_times", [-1.0, 0.05],
+                     id="nonlinear-snapshot-before-start"),
+        pytest.param("nonlinear", "snapshot_times", [0.05, 0.2],
+                     id="nonlinear-snapshot-past-horizon"),
         ("finite-n", "seed", True),
         # JSON integers too large for a float
         pytest.param("kc-scan", "values", [10**400], id="kc-scan-values-huge-int"),

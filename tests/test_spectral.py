@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from kuramoto_damping import spectral
-from kuramoto_damping.distributions import Cauchy, Gaussian, build_grid
+from kuramoto_damping.distributions import MAX_DERIVATIVE_ORDER, Cauchy, Gaussian, build_grid
 from kuramoto_damping.exceptions import BlowupDetected, GridTooCoarse, InvalidPerturbation
 from kuramoto_damping.spectral import (
     SpectralState,
@@ -481,6 +482,56 @@ def test_diagnostics_bounded_in_stable_run(gaussian_grid):
     assert np.max(tail) - np.min(tail) <= 0.05 * np.max(tail)
 
 
+def _gathered_amplitudes(grid, profile, order):
+    """Reference: every row of every stencil applied by gathering its nodes."""
+    weight = grid.bare_weights * (1.0 + grid.nodes**2)
+    amps = [np.abs(profile) ** 2 @ weight]
+    for b in range(1, order + 1):
+        idx, W = spectral._stencil(grid.nodes, b)
+        amps.append(np.abs((profile[:, idx] * W.T).sum(-1)) ** 2 @ weight)
+    return np.array(amps)
+
+
+def _edge_and_full_profiles(size, rows=3, seed=0):
+    rng = np.random.default_rng(seed)
+    full = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
+    edges = full.copy()
+    edges[:, MAX_DERIVATIVE_ORDER + 3 : -(MAX_DERIVATIVE_ORDER + 3)] = 0.0
+    return full, edges
+
+
+@pytest.mark.parametrize(
+    "dist, nodes, mass",
+    [(Gaussian(1.0), 512, 1.0 - 1e-8), (Cauchy(1.0), 1024, 0.9)],
+    ids=["gaussian", "cauchy-asinh"],
+)
+def test_slice_stencils_match_gather_formula(dist, nodes, mass):
+    # the centred rows apply each stencil by one slice per offset; the
+    # profile that vanishes away from the ends isolates the edge rows
+    grid = build_grid(dist, nodes, mass)
+    for profile in _edge_and_full_profiles(grid.node_count):
+        for order in range(1, MAX_DERIVATIVE_ORDER + 1):
+            ref = _gathered_amplitudes(grid, profile, order)
+            amps = spectral._derivative_amplitudes(grid, profile, order)
+            assert amps.shape == ref.shape
+            assert np.all(np.abs(amps - ref) <= 1e-14 * ref), order
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 5])
+@pytest.mark.parametrize("order", range(1, MAX_DERIVATIVE_ORDER + 1))
+def test_slice_stencils_on_the_smallest_grids(order, extra):
+    # J = order + 3 is the smallest grid a stencil of this order allows: one
+    # centred row, every other row at an edge
+    rng = np.random.default_rng(order)
+    size = order + 3 + extra
+    nodes = np.cumsum(rng.uniform(1.0, 2.0, size)) / size
+    grid = SimpleNamespace(nodes=nodes - nodes.mean(), bare_weights=rng.uniform(0.5, 1.0, size))
+    profile = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+    ref = _gathered_amplitudes(grid, profile, order)
+    amps = spectral._derivative_amplitudes(grid, profile, order)
+    assert np.all(np.abs(amps - ref) <= 1e-14 * ref)
+
+
 def test_heavy_tail_grid_too_coarse_for_derivatives():
     # tail panels of a heavy-tailed grid grow too fast for the wide stencils
     # of fourth derivatives
@@ -533,6 +584,55 @@ def test_scattering_not_converged_when_unstable(gaussian_grid):
     )
     rep = scattering_profile(res, 4)
     assert rep.verdict == "NotConverged"
+
+
+def test_scattering_pair_norms_are_module_norms_of_differences(monkeypatch, gaussian_grid):
+    # scattering_profile builds its stencils once per call, still reaches
+    # profile_sobolev_norm through the module once per pair, and gets bitwise
+    # the norms a stand-alone call gives
+    state = initialize(Gaussian(1.0), gaussian_grid, 8, 1e-3, 1.0, modes={1: _ones})
+    res = run(
+        state, 0.01, 26.0, output_every=10, collect_diagnostics=False,
+        snapshot_times=(6.0, 12.0, 18.0, 24.0),
+    )
+    times = sorted(res.snapshots)
+    expected = [
+        profile_sobolev_norm(gaussian_grid, res.snapshots[b] - res.snapshots[a], 2)
+        for a, b in zip(times[:-1], times[1:])
+    ]
+    original, calls = spectral.profile_sobolev_norm, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "profile_sobolev_norm", counted)
+    rep = scattering_profile(res, 4)
+    assert rep.pairwise_norms == expected
+    assert calls == [2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "requested, expected",
+    [
+        ((-1.0, 1.0, 2.0, 3.0), [1.0, 2.0, 3.0]),
+        ((1.0, 1.001, 2.0, 3.0), [1.0, 2.0, 3.0]),
+        ((3.0, 1.0, 2.0), [1.0, 2.0, 3.0]),
+        ((1.0, 2.0, 3.0, 9.0), [1.0, 2.0, 3.0]),
+        ((1.04, 1.06, 2.0), [1.0, 1.1, 2.0]),
+    ],
+    ids=["passed-before-start", "two-near-one-output", "unsorted", "beyond-the-end",
+         "between-outputs"],
+)
+def test_unmatched_snapshot_time_keeps_later_snapshots(gaussian_grid, requested, expected):
+    # a requested time that no output matches used to block every later one;
+    # each output takes the requested times within half an output interval
+    state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, modes={1: _gauss_profile})
+    res = run(
+        state, 0.01, 4.0, output_every=10, collect_diagnostics=False,
+        snapshot_times=requested,
+    )
+    assert sorted(res.snapshots) == pytest.approx(expected, abs=1e-9)
 
 
 def test_recurrence_formula():
