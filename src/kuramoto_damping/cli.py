@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
-import itertools
 import json
 import math
 import re
@@ -152,22 +152,288 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-_CSV_CHUNK = 4096  # rows per % format: bounds the memory one format takes
+_CSV_CHUNK = 4096  # rows per chunk: bounds the memory one chunk takes
+
+# A float field is laid out in a slot of four uint64 words (32 bytes):
+# "-0.000", the first digit and '.', the other 16 digits, then "e+XXX" and the
+# separator.  In fixed notation with 1 <= E <= 15 the 16 digits move one byte
+# up after the E-th to let the '.' in, and the last one takes the place of the
+# 'e'.  A mask chosen by the field's layout code zeroes every byte %.17g would
+# not print, and the zero bytes are deleted from the whole chunk at once.
+_SLOT = 4
+_SEP_BYTE = 29  # byte of a slot that holds the separator
+_FAST = 250  # |x| in [1e-250, 1e250): 10^(16-E) and the products stay normal doubles
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
+_NEAR_TIE = 1e-6  # scaled values this close to a half go through Python's correctly rounded %
+_TEXT = 23  # layout class of a slot that holds a string of up to 24 bytes
+
+
+@functools.cache
+def _float_tables():
+    """The tables of ``_FloatText``, built on the first float write."""
+    return _FloatTables()
+
+
+class _FloatTables:
+    """Digit, exponent and mask tables of ``_FloatText``, and the powers of ten.
+
+    One instance serves every writer; ``powers`` only gains columns, each the
+    same constant whoever fills it.
+    """
+
+    def __init__(self):
+        # the 4 digits of a group, little-endian, and the same 4 bytes up
+        two = np.arange(100)
+        pair = (two // 10 + 48 | (two % 10 + 48) << 8).astype(np.uint64)
+        self.quads = (pair[:, None] | pair << np.uint64(16)).ravel()
+        self.quads_up = self.quads << np.uint64(32)
+        lead = [int.from_bytes(b"-0.000%c." % (48 + d), "little") for d in range(10)]
+        self.lead = np.array(lead, dtype=np.uint64)
+        # 2 (1 + position of the last nonzero digit after the first), per group
+        # k = 0..3 at 10000 k + group, or 2 if the group is 0
+        end = np.where(two % 10 > 0, 2, np.sign(two)).astype(np.int8)  # last nonzero of 2 digits
+        last = np.where(end > 0, 2 + end, end[:, None]).ravel()
+        offset = np.arange(2, 34, 8, dtype=np.int8)[:, None]
+        self.last = np.where(last > 0, 2 * last + offset, 2).ravel()
+        # "e+XXX" for E = -400..400; a 2-digit exponent's mask drops the X of hundreds
+        e = np.arange(-400, 401)
+        mag = np.abs(e)
+        sign = np.where(e < 0, ord("-"), ord("+"))
+        chars = [ord("e"), sign, mag // 100 + 48, mag // 10 % 10 + 48, mag % 10 + 48]
+        self.exponent = sum(c << 8 * i for i, c in enumerate(chars)).astype(np.uint64)
+        self.layout = 36 * np.where((e >= -4) & (e < 17), e + 4, np.where(mag < 100, 21, 22))
+        self.keep, self.keep_shifted, self.dots = _slot_masks()
+        # hi, hi_h, hi_l, lo of 10^(16-E) for E = -400..400: hi + lo is 10^(16-E) to
+        # about 2^-106, hi = hi_h + hi_l split in halves; filled as exponents appear
+        self.powers = np.empty((4, 801))
+        self.filled = set()
+
+    def power(self, e):
+        """Fill the column of 10^(16-E) in ``powers``."""
+        s = 16 - e
+        if s >= 0:
+            hi = float(10**s)
+            lo = float(10**s - int(hi))
+        else:
+            hi = 1 / 10**-s  # int true division rounds correctly
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10**-s) / (den * 10**-s)
+        split = hi * _SPLIT
+        hi_h = split - (split - hi)
+        self.powers[:, e + 400] = hi, hi_h, hi - hi_h, lo
+        self.filled.add(e)
+
+    def scaled(self, a, e):
+        """floor(a 10^(16-E)) as int64 and the fraction left over, for a 10^(16-E) < 2^63."""
+        for k in set(range(int(e.min()), int(e.max()) + 1)) - self.filled:
+            self.power(k)
+        column = e + 400
+        hi, hi_h, hi_l, lo = (row.take(column) for row in self.powers)
+        prod = a * hi
+        a_h = a * _SPLIT
+        work = a_h - a
+        a_h -= work
+        a_l = a - a_h
+        # a hi = prod + rest exactly (Dekker's two-product); a lo is the tail
+        rest = a_h * hi_h
+        rest -= prod
+        for u, v in ((a_h, hi_l), (a_l, hi_h), (a_l, hi_l), (a, lo)):
+            rest += np.multiply(u, v, out=work)
+        floor = np.floor(rest, out=work)
+        rest -= floor
+        q = prod.astype(np.int64)
+        q += floor.astype(np.int64)
+        return q, rest
+
+
+class _FloatText:
+    """Lays out doubles exactly as ``'%.17g' % v``; one serves one csv.
+
+    A nonzero x with 1e-250 <= |x| < 1e250 is scaled to y = |x| 10^(16-E),
+    E = floor(log10|x|), by a double-double product (Dekker, Numer. Math. 18,
+    224, 1971) with 10^s held as hi + lo to about 2^-106, so the digits of
+    round(y) are its 17 significant digits.  Values whose y lies within 1e-6
+    of a half, and every value out of that range or not finite, are formatted
+    by Python's correctly rounded % instead.
+    """
+
+    def __init__(self, size):
+        self.tables = _float_tables()
+        # work arrays for up to ``size`` values, reused by every call
+        self.groups = np.empty((5, size), dtype=np.uint64)
+        self.index = np.empty((4, size), dtype=np.int64)
+        self.slots = np.empty((_SLOT, size), dtype=np.uint64)
+        self.shifted = np.empty((_SLOT, size), dtype=np.uint64)
+        self.work = np.empty(size, dtype=np.uint64)
+
+    def words(self, x, sep):
+        """Slot words of the doubles x, word k in row k, each with the separator ``sep``.
+
+        Returns a view of a work array, shape (4, x.size), valid until the next call.
+        """
+        t = self.tables
+        a = np.abs(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.log10(a)
+        np.floor(e, out=e)
+        other = ~((e >= -_FAST) & (e < _FAST))  # zero, out of range or not finite
+        a[other] = 1.0
+        e[other] = 0.0
+        e = e.astype(np.int64)
+        q, frac = t.scaled(a, e)
+        # log10 can miss by one next to a power of ten: E is right when 10^16 <= y < 10^17
+        redo = np.flatnonzero((q - 10**16).view(np.uint64) >= 9 * 10**16)
+        if redo.size:
+            e[redo] += (q[redo] >= 10**17).astype(np.int64) - (q[redo] < 10**16)
+            q[redo], frac[redo] = t.scaled(a[redo], e[redo])
+            other[redo] |= (q[redo] < 10**16) | (q[redo] >= 10**17)
+        slow = np.abs(frac - 0.5) < _NEAR_TIE
+        slow |= other
+        slow &= x != 0
+        q += frac >= 0.5
+        q[other] = 0  # zeros print as the digit 0
+        carry = np.flatnonzero(q == 10**17)  # a double just below 10^(E+1) prints as it
+        q[carry] = 10**16
+        e[carry] += 1
+
+        size = x.size
+        # the first digit, then four groups of 4
+        rest = q.view(np.uint64)
+        groups = self.groups[:, :size]
+        for k, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
+            np.floor_divide(rest, scale, out=groups[k])
+            rest -= np.multiply(groups[k], scale, out=groups[k + 1])
+        groups[4] = rest
+        groups = groups.view(np.int64)
+        index = self.index[:, :size]
+        np.add(groups[1:], np.arange(0, 40000, 10000)[:, None], out=index)
+        last = t.last.take(index, mode="clip")
+        e += 400
+        code = t.layout.take(e)
+        code += np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3]))
+        code += np.signbit(x)
+
+        words = self.slots[:, :size]
+        work = self.work[:size]
+        words[0] = t.lead.take(groups[0])  # raises, were the first digit 10
+        t.quads.take(groups[1], out=words[1], mode="clip")
+        words[1] |= t.quads_up.take(groups[2], out=work, mode="clip")
+        t.quads.take(groups[3], out=words[2], mode="clip")
+        words[2] |= t.quads_up.take(groups[4], out=work, mode="clip")
+        t.exponent.take(e, out=words[3], mode="clip")
+        words[3] |= sep
+        for i in np.flatnonzero(slow).tolist():
+            text = _fmt(float(x[i])).encode().ljust(24, b"\0")
+            words[:3, i] = np.frombuffer(text, dtype=np.uint64)
+            code[i] = 36 * _TEXT
+        # with 1 <= E <= 15 the digits after the E-th come from a copy one byte up
+        e -= 401
+        if (e.view(np.uint64) < 15).any():
+            shifted = self.shifted[:, :size]
+            np.left_shift(words[1:3], np.uint64(8), out=shifted[1:3])
+            np.right_shift(words[1:3], np.uint64(56), out=shifted[2:4])
+            shifted[2] |= np.left_shift(words[2], np.uint64(8), out=work)
+            for k in (1, 2, 3):
+                words[k] &= t.keep[k].take(code, out=work, mode="clip")
+                shifted[k] &= t.keep_shifted[k].take(code, out=work, mode="clip")
+                shifted[k] |= t.dots[k].take(code, out=work, mode="clip")
+                words[k] |= shifted[k]
+            words[0] &= t.keep[0].take(code, out=work, mode="clip")
+        else:
+            for word, keep in zip(words, t.keep):
+                word &= keep.take(code, out=work, mode="clip")
+        return words
+
+
+def _slot_masks():
+    """Byte masks of a float slot and of its copy one byte up, and the '.' of that copy.
+
+    Each has shape (4, codes): word k of every layout code in row k, 0xff or
+    0x00 per byte for the masks.  Code = 36 class + 2 digits + sign, where the
+    class is E + 4 for fixed notation, 21 or 22 for an exponent of 2 or 3
+    digits and 23 for a string; digits counts the significant ones.
+    """
+    cls, digits, b = np.ix_(np.arange(24), np.arange(18), np.arange(8 * _SLOT))
+    e = cls - 4
+    fixed = cls < 21
+    expo = (cls == 21) | (cls == 22)
+    number = cls < _TEXT
+    inner = fixed & (e >= 1) & (e <= 15)  # the '.' sits among the 16 digits, at byte 8 + E
+    fraction = inner & (digits > e + 1)  # and digits follow it
+    keep = np.zeros((24, 18, 8 * _SLOT), dtype=bool)
+    keep |= (b == _SEP_BYTE) | ((cls == _TEXT) & (b < 24))
+    keep |= fixed & (e < 0) & (b > 0) & (b < 2 - e)  # "0." and the zeros after it
+    keep |= number & (b == 6)  # the first digit
+    keep |= ((fixed & (e == 0)) | expo) & (b == 7) & (digits > 1)  # '.' after it
+    # digits 2..n from byte 8 on, in fixed notation all those before the '.' too;
+    # with the '.' among them, those after it come from the copy one byte up
+    end = 7 + np.where(fixed, np.maximum(digits, e + 1), digits)
+    keep |= number & (b >= 8) & (b < np.where(inner, 8 + e, end))
+    keep |= expo & (b >= 24) & (b < 29) & ((b != 26) | (cls == 22))  # "e+XX(X)"
+    shifted = fraction & (b > 8 + e) & (b < 8 + digits)
+    dot = fraction & (b == 8 + e)
+    masks = [
+        (np.stack([keep, keep | (number & (b == 0))], axis=2), 255),  # without and with a '-'
+        (np.stack([shifted] * 2, axis=2), 255),
+        (np.stack([dot] * 2, axis=2), 46),
+    ]
+    return [
+        (mask.view(np.uint8) * np.uint8(byte)).reshape(-1, 8 * _SLOT).view(np.uint64).T.copy()
+        for mask, byte in masks
+    ]
+
+
+def _csv_chunk(columns, seps, floats, buf):
+    """Lay out some rows, each column's fields with their separators, in ``buf``.
+
+    Returns ``buf``, or a new bytearray when the rows need another size.
+    Bytes that are not printed are zero.
+    """
+    rows = len(columns[0])
+    widths, texts = [], {}
+    for j, col in enumerate(columns):
+        if col.dtype.kind == "f":
+            widths.append(_SLOT)
+            continue
+        # every other column as str; text holds no NUL byte
+        fields = [f"{v}{seps[j]}".encode() for v in col.tolist()]
+        width = -(-max(map(len, fields)) // 8)
+        texts[j] = np.array(fields, dtype=f"S{8 * width}").view(np.uint64).reshape(rows, width)
+        widths.append(width)
+    at = np.cumsum([0] + widths).tolist()
+    if len(buf) != 8 * rows * at[-1]:
+        buf = bytearray(8 * rows * at[-1])
+    words = np.frombuffer(buf, dtype=np.uint64).reshape(rows, at[-1])
+    for j, col in enumerate(columns):
+        if j in texts:
+            words[:, at[j] : at[j + 1]] = texts[j]
+        else:
+            sep = np.uint64(ord(seps[j]) << 8 * (_SEP_BYTE - 24))
+            words[:, at[j] : at[j + 1]] = floats.words(col.astype(float, copy=False), sep).T
+    return buf
 
 
 def _write_csv(path, header, columns):
-    """One row per entry, written a chunk of rows per % format.
+    """One row per entry, written a chunk of ``_CSV_CHUNK`` rows at a time.
 
-    Float columns get ``_fmt``'s 17 significant digits, every other column ``str``.
+    Float columns print exactly as ``'%.17g' % v``, every other column as
+    ``str``.  Floats are laid out by ``_FloatText`` with array operations;
+    only near-ties, non-finite values and |x| outside [1e-250, 1e250) go
+    through Python's % one value at a time.
     """
     columns = [np.asarray(column) for column in columns]
-    row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
     rows = min(map(len, columns), default=0)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    floats = None
+    if rows and any(col.dtype.kind == "f" for col in columns):
+        floats = _FloatText(min(rows, _CSV_CHUNK))
+    buf = bytearray()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, rows, _CSV_CHUNK):
-            chunk = [col[lo : min(lo + _CSV_CHUNK, rows)].tolist() for col in columns]
-            fh.write(row * len(chunk[0]) % tuple(itertools.chain.from_iterable(zip(*chunk))))
+            hi = min(lo + _CSV_CHUNK, rows)
+            buf = _csv_chunk([col[lo:hi] for col in columns], seps, floats, buf)
+            fh.write(buf.translate(None, b"\0"))
 
 
 # np.genfromtxt(names=True) drops these from a header name
@@ -494,7 +760,7 @@ def run_nonlinear(config, outdir):
         "initialWeightedNorm": initial_norm if np.isfinite(initial_norm) else None,
     }
     if len(result.snapshots) >= 3:
-        report = spectral.scattering_profile(result, weight_order)
+        report = spectral.scattering_profile(result, weight_order, state.stencils)
         scattering.update(
             {
                 "snapshotTimes": report.snapshot_times,

@@ -25,10 +25,11 @@ set of (k_max, J) work arrays, all reused by every step of that call.
 Sobolev diagnostics act on the transport-frame profile p = (unwound r) * g,
 whose mode amplitudes are c_k e^{+i k omega t} g(omega); theta derivatives are
 exact (i k)^a factors, omega derivatives use second-order finite differences
-on the nonuniform grid, applied by one slice per stencil offset.  ``run``
-builds those omega stencils once per run and hands them to every record, and
-``scattering_profile`` builds them once per call for all its pairs; nothing is
-cached between calls.
+on the nonuniform grid, applied by one slice per stencil offset.  The omega
+stencils live in one list on the state, grown by order as ``initialize``
+(orders 1..4), ``run`` (1..weight order) and ``scattering_profile`` (when
+handed the list) need them, so each order is built once per state.  Nothing
+is cached in the module.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ BLOWUP_GUARD = 1e6
 _THETA_SAMPLES = 256  # uniform theta samples that transform a direct perturbation r0
 _REPORT_ORDER = 4  # order of the weighted Sobolev norm recorded for the initial state
 _MAX_GAP_RATIO = 10.0  # largest ratio of gaps inside one omega stencil
+# pair norms within this many eps * h_min^-(n-2) * max_i ||p(t_i)||_{H^{n-2}}
+# are roundoff: free transport leaves 1 to 15 such units, damped runs 3e4 or more
+_ROUNDOFF_FACTOR = 1e3
+# the floor decides only while it is at most this fraction of the snapshots' norm
+_ROUNDOFF_LIMIT = 1e-4
 
 
 @dataclass
@@ -74,6 +80,7 @@ class SpectralState:
     coupling: float
     dist: object
     initial_weighted_norm: float = field(default=float("nan"))
+    stencils: list = field(default_factory=list)  # omega stencils of orders 1..len, on grid
 
 
 def initialize(dist, grid, k_max, epsilon, coupling, modes=None, r0=None):
@@ -139,7 +146,10 @@ def initialize(dist, grid, k_max, epsilon, coupling, modes=None, r0=None):
 
     try:
         state.initial_weighted_norm = profile_sobolev_norm(
-            grid, coeffs * dist.density(nodes)[None, :], _REPORT_ORDER
+            grid,
+            coeffs * dist.density(nodes)[None, :],
+            _REPORT_ORDER,
+            _stencils(nodes, _REPORT_ORDER, state.stencils),
         )
     except GridTooCoarse:
         # the norm is a report, not a gate; heavy-tail grids may be too
@@ -328,7 +338,7 @@ def run(
     stepper = _LawsonStepper(state, time_step)
     stencils = None
     if collect_diagnostics:
-        stencils = _stencils(state.grid.nodes, weight_order)
+        stencils = _stencils(state.grid.nodes, weight_order, state.stencils)
 
     wanted = [float(t) for t in snapshot_times]
     reach = 0.5 * time_step * output_every
@@ -436,9 +446,15 @@ def _stencil(nodes, order):
     return idx, np.ascontiguousarray(_fornberg_weights(sten, nodes, order)[:, :, order].T)
 
 
-def _stencils(nodes, order):
-    """The stencils of ``_stencil`` for derivative orders 1..order."""
-    return [_stencil(nodes, b) for b in range(1, order + 1)]
+def _stencils(nodes, order, built=None):
+    """The stencils of ``_stencil`` for derivative orders 1..order.
+
+    ``built``, a list of those of orders 1..m on the same nodes, gets the
+    orders m+1..order appended to it.
+    """
+    built = [] if built is None else built
+    built.extend(_stencil(nodes, b) for b in range(len(built) + 1, order + 1))
+    return built[:order]
 
 
 def _derivative_amplitudes(grid, profile, order, stencils=None):
@@ -524,27 +540,51 @@ class ScatteringReport:
     verdict: str  # "Converged" | "NotConverged"
 
 
-def scattering_profile(result, order=4):
+def scattering_profile(result, order=4, stencils=None):
     """Cauchy-sequence check on the unwound profile across late snapshots.
 
-    The verdict is Converged when consecutive pairwise norms decrease
-    monotonically, i.e. the snapshots approach a free-transport limit profile.
+    The verdict is Converged when each pairwise norm is below the one before
+    it or is roundoff, i.e. the snapshots approach a free-transport limit
+    profile.  A norm is roundoff when it is at most ``_ROUNDOFF_FACTOR`` *
+    eps * h_min^-(n-2) times the largest H^{n-2} norm of the snapshots, n =
+    ``order``: the omega stencils amplify coefficient roundoff by about
+    h^-(n-2), h_min the smallest gap of the grid.  Where that factor exceeds
+    ``_ROUNDOFF_LIMIT`` (fine grids at high order) the floor cannot tell
+    roundoff from a real rise, and every rise counts.  ``stencils`` is a
+    list of omega stencils on the result's grid, as ``SpectralState.stencils``,
+    grown to the orders needed.
     """
     if len(result.snapshots) < 3:
         raise ValueError("scattering check needs at least 3 snapshots")
     times = sorted(result.snapshots)
-    stencils = _stencils(result.grid.nodes, order - 2)
+    stencils = _stencils(result.grid.nodes, order - 2, stencils)
     pair_norms = []
     for t0, t1 in zip(times[:-1], times[1:]):
         diff = result.snapshots[t1] - result.snapshots[t0]
         pair_norms.append(profile_sobolev_norm(result.grid, diff, order - 2, stencils))
-    converged = all(b < a for a, b in zip(pair_norms[:-1], pair_norms[1:]))
+    rising = [b for a, b in zip(pair_norms[:-1], pair_norms[1:]) if b >= a]
+    converged = not rising or max(rising) <= _roundoff_floor(result, order - 2, stencils)
     return ScatteringReport(
         snapshot_times=[float(t) for t in times],
         pairwise_norms=[float(v) for v in pair_norms],
         converged=converged,
         verdict="Converged" if converged else "NotConverged",
     )
+
+
+def _roundoff_floor(result, order, stencils):
+    """The largest H^order norm of a snapshot difference that is roundoff.
+
+    Zero when the floor would exceed ``_ROUNDOFF_LIMIT`` of the snapshots' norm.
+    """
+    gap = np.min(np.diff(result.grid.nodes))
+    factor = _ROUNDOFF_FACTOR * np.finfo(float).eps * gap**-order
+    if factor > _ROUNDOFF_LIMIT:
+        return 0.0
+    size = max(
+        profile_sobolev_norm(result.grid, p, order, stencils) for p in result.snapshots.values()
+    )
+    return float(factor * size)
 
 
 def recurrence_horizon(grid):

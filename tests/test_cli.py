@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kuramoto_damping import volterra
+from kuramoto_damping import spectral, volterra
 from kuramoto_damping.cli import _CSV_CHUNK, _write_csv, main
 from kuramoto_damping.distributions import MAX_DERIVATIVE_ORDER, Cauchy
 
@@ -246,6 +246,27 @@ def test_nonlinear_run_artifacts(tmp_path):
     assert scattering["recurrenceTime"] > 0
     assert scattering["verdict"] in ("Converged", "NotConverged")
     assert scattering["config"]["epsilon"] == 0.01
+
+
+@pytest.mark.parametrize(
+    "weight_order, built", [(4, [1, 2, 3, 4]), (2, [1, 2, 3, 4]), (6, [1, 2, 3, 4, 5, 6])]
+)
+def test_nonlinear_builds_omega_stencils_once(tmp_path, monkeypatch, weight_order, built):
+    # initialize builds orders 1..4 for its report norm on the state's list;
+    # run and scattering_profile grow that list only by the orders it lacks
+    original, calls = spectral._stencil, []
+
+    def counted(nodes, order):
+        calls.append(order)
+        return original(nodes, order)
+
+    monkeypatch.setattr(spectral, "_stencil", counted)
+    config = dict(_nonlinear_config(horizon=0.3, snapshots=(0.1, 0.2, 0.3)), grid_nodes=128,
+                  weight_order=weight_order)
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main(["nonlinear", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "scattering.json").read_text())["verdict"] != "NotEvaluated"
+    assert calls == built
 
 
 def test_compare_runs_and_mismatch(tmp_path, capsys):
@@ -574,8 +595,21 @@ def _csv_reference(path, header, columns):
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+# powers of ten at the ends of the fixed and vectorised ranges, and some whose
+# nearest double lies so close below them that 17 digits round it up to them
+_POWERS = [float(f"1e{k}") for k in (-308, -251, -250, -249, -243, -100, -99, -79, -14, -5, -4, 0,
+                                     16, 17, 22, 23, 98, 99, 100, 220, 249, 250, 308)]
 _AWKWARD = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1,
-            -1.0 / 3.0, 1e-5, 123456789.0, 1e16, 2.0**53 + 2]
+            -1.0 / 3.0, 1e-5, 123456789.0, 1e16, 2.0**53 + 2,
+            # ties at the 18th significant digit, to round half to even both ways
+            123457 / 2**18, 1 + 2**-17, -(1 + 3 * 2**-17),
+            *_POWERS, *np.nextafter(_POWERS, 0.0).tolist(), *np.nextafter(_POWERS, np.inf).tolist(),
+            # fixed notation with the '.' among the 16 digits (1 <= E <= 15) and every
+            # count of digits after it, short of 17 significant digits and at 17
+            12.5, 100.25, 1234.5, 1e15 + 0.5, *[0.5 * 10**k + 0.25 for k in range(1, 17)],
+            *[(-1) ** e * ((1 + 6 * (k % 2)) * 10**e + 2.0**-k)
+              for e in range(1, 16) for k in range(1, 17 - e)],
+            *[k * 0.001 for k in range(1, 30001, 293)]]
 
 
 @pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK, _CSV_CHUNK + 1])
@@ -588,11 +622,22 @@ def test_csv_writer_matches_one_value_at_a_time(tmp_path, rows):
         [f"{v:.17g};{-v:.17g}" for v in floats],  # text, as kc-scan's critical_omegas
         [float(v) for v in floats],  # a list of Python floats
         np.arange(rows) % 2 == 0,  # booleans
+        np.resize(np.array([0.1, -1 / 3, 1e-5, 3e38, 1e-45, np.nan, -np.inf], dtype=np.float32), rows),
     ]
-    header = ["a", "b", "c", "d", "e", "f"]
+    header = ["a", "b", "c", "d", "e", "f", "g"]
     _write_csv(tmp_path / "new.csv", header, columns)
     _csv_reference(tmp_path / "ref.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_writer_matches_percent_format_on_random_doubles(tmp_path):
+    # every binade, subnormals, infinities and NaN payloads, over many chunks
+    bits = np.random.default_rng(16).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    columns = bits.view(np.float64).reshape(4, -1)
+    _write_csv(tmp_path / "r.csv", list("abcd"), columns)
+    rows = zip(*(column.tolist() for column in columns))
+    expected = "a,b,c,d\n" + "".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+    assert (tmp_path / "r.csv").read_text() == expected
 
 
 def _csv_body(rows):

@@ -25,6 +25,17 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     assert result.stdout.split() == []
 
 
+def test_cli_import_builds_no_csv_tables():
+    # the csv writer's tables are built on a process's first float write, so
+    # the import, which every CLI call pays, builds none
+    probe = "import kuramoto_damping.cli as cli; print(cli._float_tables.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.split() == ["0"]
+
+
 def test_no_scipy_import_inside_a_function():
     # a deferred import would hide from the sys.modules check above and move its
     # cost into the call that reaches it

@@ -1,5 +1,6 @@
 """Tests for the pseudo-spectral mode simulation."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -584,6 +585,28 @@ def test_scattering_not_converged_when_unstable(gaussian_grid):
     )
     rep = scattering_profile(res, 4)
     assert rep.verdict == "NotConverged"
+    # at order 8 on 512 nodes the roundoff floor, 1e3 eps h_min^-6 times the
+    # snapshots' norm, is 65 times that norm: it must not call the rise roundoff
+    rep = scattering_profile(res, MAX_DERIVATIVE_ORDER)
+    assert rep.pairwise_norms[1] > rep.pairwise_norms[0]
+    assert rep.verdict == "NotConverged"
+
+
+def test_scattering_verdict_ignores_the_order_of_roundoff(gaussian_grid):
+    # snapshots that differ in the last bits of their coefficients only: the
+    # pair norms rise, but they are roundoff, so the profile has converged;
+    # the same differences 1e10 times larger are a rise the verdict must see
+    state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 0.0, modes={1: _gauss_profile})
+    res = run(state, 0.01, 0.3, output_every=10, collect_diagnostics=False,
+              snapshot_times=(0.1, 0.2, 0.3))
+    p = res.snapshots[min(res.snapshots)]
+    signs = np.where(np.random.default_rng(0).random(p.shape) < 0.5, -1.0, 1.0)
+    for scale, verdict in ((1.0, "Converged"), (1e10, "NotConverged")):
+        snapshots = {1.0: p, 2.0: p * (1.0 + scale * 2**-52 * signs),
+                     3.0: p * (1.0 - scale * 2**-51 * signs)}
+        rep = scattering_profile(dataclasses.replace(res, snapshots=snapshots), 4)
+        assert rep.pairwise_norms[1] > rep.pairwise_norms[0] > 0.0
+        assert rep.verdict == verdict
 
 
 def test_scattering_pair_norms_are_module_norms_of_differences(monkeypatch, gaussian_grid):
