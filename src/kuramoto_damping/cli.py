@@ -114,20 +114,32 @@ def _distribution(obj, context):
 
 
 def _mode_profile(spec, context):
-    """One initial-perturbation mode: h_k(omega) from its JSON description."""
+    """One initial-perturbation mode from its JSON description: (k, h_k, source).
+
+    h_k(omega) is the profile; source(dist, t) is its continuum transform
+    int g(omega) h_k(omega) exp(-i omega t) domega on the density g = dist.
+    """
     require_keys(spec, {"mode", "kind"}, {"value", "amplitude", "width", "center", "phase_delay"}, context)
     kind = spec["kind"]
     mode = _integer(spec, "mode", context)
     if kind == "constant":
         raw = spec.get("value", 1.0)
         parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
-        re, im = _numbers(parts, f"{context}.value")
-        return mode, lambda w: np.full(np.shape(w), complex(re, im), dtype=complex)
+        value = complex(*_numbers(parts, f"{context}.value"))
+        return (
+            mode,
+            lambda w: np.full(np.shape(w), value, dtype=complex),
+            lambda dist, t: value * dist.fourier_transform(t),
+        )
     if kind == "gaussian":
         amp = _number(spec, "amplitude", context, 1.0)
         width = _positive(spec, "width", context) if "width" in spec else 1.0
         center = _number(spec, "center", context, 0.0)
-        return mode, lambda w: amp * np.exp(-0.5 * ((np.asarray(w) - center) / width) ** 2) + 0j
+        return (
+            mode,
+            lambda w: amp * np.exp(-0.5 * ((np.asarray(w) - center) / width) ** 2) + 0j,
+            lambda dist, t: dist.gaussian_profile_source(t, amp, width, center),
+        )
     raise ConfigError(f"{context}: unknown mode kind {kind!r}")
 
 
@@ -137,7 +149,7 @@ def _perturbation_modes(obj, context):
         raise ConfigError(f"{context}: modes must be a non-empty list")
     modes = {}
     for i, spec in enumerate(obj["modes"]):
-        mode, profile = _mode_profile(spec, f"{context}.modes[{i}]")
+        mode, profile, _ = _mode_profile(spec, f"{context}.modes[{i}]")
         if mode in modes:
             raise ConfigError(f"{context}: duplicate mode {mode}")
         modes[mode] = profile
@@ -570,13 +582,16 @@ def _linear_source(config, dist, context):
 
         return source
     if kind == "mode":
-        mode, profile = _mode_profile({"mode": 1, **spec["profile"]}, f"{context}.input.profile")
-        grid = build_grid(
-            dist,
-            _integer(spec, "grid_nodes", f"{context}.input", default=2048),
-            _number(spec, "mass_threshold", f"{context}.input", 1.0 - 1e-8),
-        )
-        return volterra.mode_input_from_grid(grid, profile, float(config["dt"]))
+        _, _, transform = _mode_profile({"mode": 1, **spec["profile"]}, f"{context}.input.profile")
+        # F is the continuum transform, so the grid keys shape nothing; they are
+        # still checked, with the limits a grid build puts on them
+        nodes = _integer(spec, "grid_nodes", f"{context}.input", default=2048, minimum=8)
+        threshold = _number(spec, "mass_threshold", f"{context}.input", 1.0 - 1e-8)
+        if _as_float(nodes) is None:
+            raise ConfigError(f"{context}.input: grid_nodes is too large for a float")
+        if not 0.0 < threshold < 1.0:
+            raise ConfigError(f"{context}.input: mass_threshold must lie in (0, 1), got {threshold}")
+        return lambda t: transform(dist, t)
     if kind == "csv":
         path = Path(spec["path"])
         if not path.exists():

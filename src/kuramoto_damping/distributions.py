@@ -89,6 +89,14 @@ class FrequencyDistribution:
         """
         raise NotImplementedError
 
+    def gaussian_profile_source(self, t, amplitude, width, center):
+        """F(t) = int g(w) h(w) exp(-i w t) dw for t >= 0 in closed form.
+
+        h(w) = amplitude exp(-(w - center)^2 / (2 width^2)) is a Gaussian
+        first-mode profile, and F the exact continuum source it drives.
+        """
+        raise NotImplementedError
+
     def abs_moment(self, n):
         """int_0^inf t^n |ghat(t)| dt in closed form, or None when there is none."""
         return None
@@ -172,6 +180,22 @@ class Cauchy(FrequencyDistribution):
 
     def laplace_transform(self, omega):
         return 1.0 / (self.half_width + 1j * (omega + self.center))
+
+    def gaussian_profile_source(self, t, amplitude, width, center):
+        # With a = delta + i(mu - c), alpha = a / (s sqrt 2) and beta = s t / sqrt 2,
+        # F = (A/2) exp(-ict - beta^2) [w(i zeta1) + w(i zeta2)], zeta1 = alpha - beta
+        # and zeta2 = conj(alpha) + beta.  Past t = delta / s^2, i zeta1 is below
+        # the real axis, where the continuation's term exp(-ict - beta^2) 2 exp(zeta1^2)
+        # is 2 exp(alpha^2 - (delta + i mu) t): the pole's h(mu - i delta) ghat(t) / A.
+        t = _check_time_nonnegative(t)
+        a = complex(self.half_width, self.center - center)
+        alpha = a / (width * math.sqrt(2.0))
+        beta = (width / math.sqrt(2.0)) * t
+        log_scale = -(beta * beta) - 1j * center * t
+        pole = alpha * alpha - complex(self.half_width, self.center) * t
+        first = _faddeeva_continued(1j * (alpha - beta), log_scale, pole)
+        second = np.exp(log_scale) * _faddeeva(1j * (alpha.conjugate() + beta))
+        return 0.5 * amplitude * (first + second)
 
     def abs_moment(self, n):
         return math.factorial(n) / self.half_width ** (n + 1)
@@ -257,6 +281,22 @@ def _faddeeva(z):
     with np.errstate(over="ignore"):  # x^2 = inf gives exp(-x^2) = 0
         out.real[axis] = np.exp(-np.square(flat.real[axis]))
     return out.reshape(z.shape)
+
+
+def _faddeeva_continued(z, log_scale, reflected):
+    """exp(log_scale) w(z) on arrays of one shape, anywhere in the complex plane.
+
+    Where Im z >= 0 this is ``_faddeeva``.  Below the real axis it uses
+    w(z) = 2 exp(-z^2) - w(-z), with ``reflected`` = log_scale - z^2 given by the
+    caller in a closed form: exp(-z^2) alone may overflow where the product with
+    exp(log_scale) does not, and log_scale - z^2 summed here may cancel.
+    """
+    z = np.asarray(z, dtype=complex)
+    below = z.imag < 0.0
+    out = _faddeeva(np.where(below, -z, z))
+    out *= np.exp(log_scale)
+    out[below] = 2.0 * np.exp(reflected[below]) - out[below]
+    return out
 
 
 def _erfc(x):
@@ -370,6 +410,17 @@ class Gaussian(FrequencyDistribution):
         z = -(omega + self.center) / (s * math.sqrt(2.0))
         return math.sqrt(np.pi / 2.0) / s * _faddeeva(z)
 
+    def gaussian_profile_source(self, t, amplitude, width, center):
+        # g h is a Gaussian of variance tau^2 = sigma^2 s^2 / (sigma^2 + s^2) about
+        # m = mu + (c - mu) sigma^2 / (sigma^2 + s^2), times a constant
+        t = _check_time_nonnegative(t)
+        spread = math.hypot(self.std_dev, width)
+        offset = (center - self.center) / spread
+        tau = self.std_dev * (width / spread)
+        mean = self.center + offset * (self.std_dev / spread) * self.std_dev
+        scale = amplitude * (width / spread) * math.exp(-0.5 * offset * offset)
+        return scale * np.exp(-0.5 * (tau * t) ** 2 - 1j * mean * t)
+
     def abs_moment(self, n):
         s = self.std_dev
         return 2.0 ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0) / s ** (n + 1)
@@ -434,6 +485,12 @@ class Mixture(FrequencyDistribution):
 
     def laplace_transform(self, omega):
         return sum(w * c.laplace_transform(omega) for w, c in zip(self.weights, self.components))
+
+    def gaussian_profile_source(self, t, amplitude, width, center):
+        return sum(
+            w * c.gaussian_profile_source(t, amplitude, width, center)
+            for w, c in zip(self.weights, self.components)
+        )
 
     def abs_moment(self, n):
         if len({c.location_hints()[0] for c in self.components}) > 1:

@@ -54,3 +54,27 @@ def dense_winding_oracle(values):
     total = ang[-1] - ang[0]
     total += np.angle(values[0] / values[-1])
     return int(round(total / (2 * np.pi)))
+
+
+def profile_source_oracle(dist, profile, t, span):
+    """int g(w) h(w) exp(-i w t) dw for a real profile h, over the finite ``span`` = (lo, hi).
+
+    The span is cut into pieces of width at most 1/2, so no piece holds more
+    than a sliver of a density peak, and each piece is integrated against
+    cos(wt) and sin(wt) by QUADPACK's weighted rule QAWO.  The integrand must
+    be negligible outside the span.
+    """
+
+    def integrand(w):
+        return dist.density(w) * profile(w)
+
+    edges = np.linspace(*span, int(np.ceil(2.0 * (span[1] - span[0]))) + 1)
+    total = 0j
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if t == 0:
+            total += integrate.quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12)[0]
+            continue
+        cos = integrate.quad(integrand, lo, hi, weight="cos", wvar=t, epsabs=1e-15, epsrel=1e-12)
+        sin = integrate.quad(integrand, lo, hi, weight="sin", wvar=t, epsabs=1e-15, epsrel=1e-12)
+        total += cos[0] - 1j * sin[0]
+    return total

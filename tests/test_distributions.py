@@ -18,8 +18,10 @@ from kuramoto_damping.distributions import (
     sobolev_norm,
 )
 from kuramoto_damping.exceptions import Divergent, UnsupportedOrder
+from scipy import special
 
-from conftest import fourier_oracle
+from conftest import fourier_oracle, profile_source_oracle
+from grid_source import mode_input_from_grid
 
 ALL_FAMILIES = [
     Cauchy(1.0),
@@ -166,6 +168,102 @@ def test_mixture_transform_is_weighted_sum():
 def test_transform_rejects_negative_time():
     with pytest.raises(ValueError):
         Cauchy(1.0).fourier_transform(-0.1)
+
+
+# ---------------------------------------------------------------------------
+# continuum source of a Gaussian first-mode profile
+
+# (distribution, amplitude, width, center): profiles off the centre of a Cauchy
+# and a Gaussian density, on a two-bump mixture and on a mixed one
+PROFILE_CASES = [
+    (Cauchy(0.8, 0.5), 0.7, 1.2, -0.3),
+    (Cauchy(1.3, -1.0), 1.0, 0.6, 0.4),
+    (Gaussian(1.3, -0.4), -1.2, 2.0, -1.0),
+    (Gaussian(0.5, 1.0), 0.7, 0.6, 0.9),
+    (bi_cauchy(1.0, 2.0), 1.0, 1.0, 0.5),
+    (Mixture((0.3, 0.7), (Gaussian(0.5, -1.0), Cauchy(0.7, 1.5))), 0.9, 0.8, 0.2),
+]
+
+
+def _gaussian_profile(amplitude, width, center):
+    return lambda w: amplitude * np.exp(-0.5 * ((np.asarray(w) - center) / width) ** 2)
+
+
+@pytest.mark.parametrize("dist, amplitude, width, center", PROFILE_CASES)
+def test_gaussian_profile_source_matches_quadrature(dist, amplitude, width, center):
+    # the Cauchy arguments cross below the real axis at t = delta / width^2,
+    # between 0.4 and 3.6 here
+    t = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 30.0])
+    closed = dist.gaussian_profile_source(t, amplitude, width, center)
+    profile = _gaussian_profile(amplitude, width, center)
+    span = (center - 12.0 * width, center + 12.0 * width)
+    reference = np.array([profile_source_oracle(dist, profile, s, span) for s in t])
+    # measured: at most 2.8e-16
+    assert np.max(np.abs(closed - reference)) <= 4e-16
+
+
+@pytest.mark.parametrize(
+    "delta, amplitude, width", [(1.0, 1.0, 1.0), (0.8, 0.7, 1.2), (1.25, 0.5, 0.8), (2.0, 1.0, 0.3)]
+)
+def test_centred_cauchy_profile_source_matches_erfcx(delta, amplitude, width):
+    # F = (A/2) exp(-s^2 t^2 / 2) [erfcx(x-) + erfcx(x+)], x+- = (delta/s +- s t) / sqrt 2.
+    # That route rounds x-^2 inside erfcx, so it loses digits as s t grows;
+    # these cases keep x-^2 below about 300 on [0, 30]
+    t = np.linspace(0.0, 30.0, 3001)
+    closed = Cauchy(delta).gaussian_profile_source(t, amplitude, width, 0.0)
+    x_minus = (delta / width - width * t) / math.sqrt(2.0)
+    x_plus = (delta / width + width * t) / math.sqrt(2.0)
+    reference = 0.5 * amplitude * np.exp(-0.5 * (width * t) ** 2) * (
+        special.erfcx(x_minus) + special.erfcx(x_plus)
+    )
+    assert not closed.imag.any()
+    # measured: at most 4.4e-16
+    assert np.max(np.abs(closed - reference)) <= 5e-16
+
+
+@pytest.mark.parametrize(
+    "dist, amplitude, width, center",
+    [*PROFILE_CASES, (Cauchy(1.0, 0.3), 1.0, 0.05, 0.0), (Cauchy(1.0), 1.0, 20.0, 1.0),
+     (Gaussian(0.5, 1.0), 0.7, 0.05, 0.9)],
+)
+def test_gaussian_profile_source_stays_finite_to_late_times(dist, amplitude, width, center):
+    # no overflow, NaN or floating-point warning (warnings are errors here) up to t = 1e3,
+    # with a profile 20 times narrower and 20 times wider than the density among the cases
+    t = np.linspace(0.0, 1e3, 100_001)
+    closed = dist.gaussian_profile_source(t, amplitude, width, center)
+    assert np.all(np.isfinite(closed.view(float)))
+    # |F(t)| <= int g |h| = |F(0)| for a profile of one sign
+    assert np.all(np.abs(closed) <= np.abs(closed[0]))
+    if isinstance(dist, Cauchy):
+        # well past t = delta / s^2 only the pole at mu - i delta is left:
+        # F = h(mu - i delta) ghat(t), while ghat is a normal float
+        delta, mu = dist.half_width, dist.center
+        ghat = dist.fourier_transform(t)
+        late = (t >= delta / width**2 + 12.0 / width) & (np.abs(ghat) > 1e-300)
+        pole = amplitude * np.exp(-0.5 * ((mu - 1j * delta - center) / width) ** 2) * ghat[late]
+        # measured: at most 1.2e-13, at width 0.05, where both sides round
+        # exponents of a few hundred (a^2 / (2 s^2) = 182 + 120i, and delta t)
+        assert late.sum() > 1000
+        assert np.max(np.abs(closed[late] / pole - 1.0)) <= 2e-13
+
+
+@pytest.mark.parametrize("amplitude, width, center", [(1.0, 1.0, 0.0), (0.7, 0.6, 0.9)])
+def test_gaussian_profile_source_matches_grid_image(amplitude, width, center):
+    # the grid route resolves a Gaussian density at J = 512; a profile still
+    # large at the grid's mass cut would add the cut's 1e-8 mass times h there
+    dist = Gaussian(1.0)
+    profile = _gaussian_profile(amplitude, width, center)
+    t = 0.01 * np.arange(3001)
+    grid_values = mode_input_from_grid(build_grid(dist, 512), profile, 0.01)(t)
+    closed = dist.gaussian_profile_source(t, amplitude, width, center)
+    # measured: at most 5.6e-16
+    assert np.max(np.abs(closed - grid_values)) <= 8e-16
+
+
+def test_gaussian_profile_source_rejects_negative_time():
+    for dist in (Cauchy(1.0), Gaussian(1.0)):
+        with pytest.raises(ValueError):
+            dist.gaussian_profile_source(-0.1, 1.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,18 @@ def test_faddeeva_real_part_on_the_real_axis_is_the_gaussian(points):
     assert np.max(_relative_error(w.imag.ravel()[x != 0], special.wofz(x[x != 0]).imag)) <= 5e-14
 
 
+def test_faddeeva_continuation_matches_scipy_below_the_real_axis():
+    rng = np.random.default_rng(5)
+    z = np.concatenate([
+        rng.uniform(-6.0, 6.0, 20_000) + 1j * rng.uniform(-5.0, 5.0, 20_000),
+        # just below the real axis, where 2 exp(-z^2) and w(-z) nearly cancel in Re w
+        rng.uniform(-30.0, 30.0, 2_000) - 1j * 10.0 ** rng.uniform(-18.0, 0.0, 2_000),
+    ])
+    w = distributions._faddeeva_continued(z, np.zeros(z.shape), -z * z)
+    # measured: at most 3.3e-14, the rounding of z^2 in exp(-z^2)
+    assert np.max(_relative_error(w, special.wofz(z))) <= 5e-14
+
+
 def _check_against(value, reference, bound):
     # scipy flushes results below the smallest normal float to zero, while the
     # Faddeeva route keeps subnormal digits; there both only need to be tiny

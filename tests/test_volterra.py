@@ -20,9 +20,10 @@ from kuramoto_damping.volterra import (
     fit_decay,
     instability_witness,
     kuramoto_kernel,
-    mode_input_from_grid,
     solve,
 )
+
+from grid_source import mode_input_from_grid
 
 
 def _zeros(t):
