@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import math
 import re
@@ -119,7 +118,7 @@ def _mode_profile(spec, context):
     h_k(omega) is the profile; source(dist, t) is its continuum transform
     int g(omega) h_k(omega) exp(-i omega t) domega on the density g = dist.
     """
-    require_keys(spec, {"mode", "kind"}, {"value", "amplitude", "width", "center", "phase_delay"}, context)
+    require_keys(spec, {"mode", "kind"}, {"value", "amplitude", "width", "center"}, context)
     kind = spec["kind"]
     mode = _integer(spec, "mode", context)
     if kind == "constant":
@@ -450,7 +449,7 @@ def _write_csv(path, header, columns):
 
 # np.genfromtxt(names=True) drops these from a header name
 _NAME_DROPS = str.maketrans("", "", "~!@#$%^&*()-=+\\|]}[{';:/?.>,<")
-_DATA_LINE = re.compile(r"^[ \t]*[^#\s]", re.MULTILINE)
+_DATA_LINE = re.compile(r"[ \t]*[^#\s]")
 
 
 def _read_csv(path, names, context):
@@ -467,28 +466,36 @@ def _read_csv(path, names, context):
     """
     try:
         with open(path) as fh:
-            header = next((line for line in fh if line.strip()), "")
-            body = fh.read()
+            # readline, not iteration, so that tell() can mark where the body starts
+            lines = iter(fh.readline, "")
+            header = next((line for line in lines if line.strip()), "")
+            body = fh.tell()
+            has_rows = any(map(_DATA_LINE.match, lines))
+            fields = header.lstrip().removeprefix("#").split(",")
+            found = [field.strip().replace(" ", "_").translate(_NAME_DROPS) for field in fields]
+            missing = [name for name in names if name not in found]
+            if missing:
+                raise ConfigError(
+                    f"{context}: csv {path} has no column {missing[0]!r} (header {found})"
+                )
+            if not has_rows:  # loadtxt would only warn
+                raise ConfigError(f"{context}: csv {path} has no data rows")
+            wanted = [found.index(name) for name in names]
+            skip = {i: lambda field: 0.0 for i in range(len(found)) if i not in wanted}
+            # loadtxt takes the body a line at a time from the file, never as one copy
+            fh.seek(body)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, converters=skip)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{context}: csv {path} is not text: {exc}") from exc
-    fields = header.lstrip().removeprefix("#").split(",")
-    found = [field.strip().replace(" ", "_").translate(_NAME_DROPS) for field in fields]
-    missing = [name for name in names if name not in found]
-    if missing:
-        raise ConfigError(f"{context}: csv {path} has no column {missing[0]!r} (header {found})")
-    if not _DATA_LINE.search(body):
-        raise ConfigError(f"{context}: csv {path} has no data rows")
-    wanted = [found.index(name) for name in names]
-    skip = {i: lambda field: 0.0 for i in range(len(found)) if i not in wanted}
-    try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, converters=skip)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{context}: csv {path}: {exc}") from exc
     if data.shape[1] != len(found):
         raise ConfigError(
             f"{context}: csv {path} rows have {data.shape[1]} fields, its header {len(found)}"
         )
-    return data[:, wanted]
+    return data if wanted == list(range(len(found))) else data[:, wanted]
 
 
 def _write_json(path, payload):
@@ -611,7 +618,8 @@ def _linear_source(config, dist, context):
             t = np.asarray(t, dtype=float)
             return np.interp(t, t_ref, re_ref) + 1j * np.interp(t, t_ref, im_ref)
 
-        return source
+        # a real F is marched in real arrays
+        return source if im_ref.any() else lambda t: np.interp(t, t_ref, re_ref)
     raise ConfigError(f"{context}: unknown input type {kind!r}")
 
 

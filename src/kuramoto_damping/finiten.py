@@ -147,9 +147,9 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
 
 class _Stepper:
     """Lawson RK4 steps of z at one step size, built once per ``simulate`` or
-    ``step_rk4`` call with the tables P = e^{i omega dt/2}, Q = e^{i omega dt},
-    e^{-i omega m dt} and six work arrays.  With N(y) = (K/2)(Y - conj(Y) y^2)
-    and Y the mean of y,
+    ``step_rk4`` call with the tables P = e^{i omega dt/2}, Q = e^{i omega dt}
+    and five work arrays.  With N(y) = (K/2)(Y - conj(Y) y^2) and Y the mean
+    of y,
 
         k1 = N(z),  k2 = N(P (z + dt/2 k1)),  k3 = N(P z + dt/2 k2),
         k4 = N(Q z + dt P k3),  z <- Q z + dt/6 (Q k1 + 2 P (k2 + k3) + k4),
@@ -158,7 +158,8 @@ class _Stepper:
     directly, not as P^2, so free rotation is exact.  The unwrapped phase is
     theta_0 + omega t plus the arg increments of e^{-i omega t} z, which turns
     by at most about |K| dt a step: one angle every m = pi / (2 |K| dt) steps
-    keeps each increment below pi/2.
+    keeps each increment below pi/2.  The table e^{-i omega m dt} is built in
+    the stage array when an angle is taken.
     """
 
     def __init__(self, state, dt, steps):
@@ -169,15 +170,12 @@ class _Stepper:
         self.full = np.exp(1j * dt * omega)
         turn = abs(state.coupling) * dt
         self.every = max(1, min(steps, int(0.5 * np.pi / turn) if turn else steps))
-        self.unturn = np.exp(-1j * (self.every * dt) * omega)
         self.z = np.exp(1j * state.phases)
         self.mean = self.z.mean()  # Z now, and k1's mean in the next step
         self.anchor = self.z.copy()  # z at the last angle
         self.turned = np.zeros(omega.size)
         self.since = 0
-        self.stage, self.slope, self.total, self.middle, self.rotated = (
-            np.empty_like(self.z) for _ in range(5)
-        )
+        self.stage, self.slope, self.total, self.middle = (np.empty_like(self.z) for _ in range(4))
 
     def _slope(self, y, mean, out):
         """out = dt/2 N(y), given the mean of y."""
@@ -187,18 +185,19 @@ class _Stepper:
 
     def advance(self):
         p, z, y, s = self.half, self.z, self.stage, self.slope
-        acc, mid, u = self.total, self.middle, self.rotated
+        acc, mid = self.total, self.middle
         self._slope(z, self.mean, s)  # s = dt/2 k1
         np.add(z, s, out=y)
         y *= p
         np.multiply(self.full, s, out=acc)
         self._slope(y, y.mean(), mid)  # mid = dt/2 k2
-        np.multiply(p, z, out=u)
-        np.add(u, mid, out=y)
+        np.multiply(p, z, out=y)
+        y += mid
         self._slope(y, y.mean(), s)  # s = dt/2 k3
         mid += s
-        np.add(s, s, out=y)
-        y += u
+        s += s
+        np.multiply(p, z, out=y)
+        y += s
         y *= p
         mid *= p
         acc += mid
@@ -208,21 +207,33 @@ class _Stepper:
         acc *= 1.0 / 3.0  # dt/6 (Q k1 + 2 P (k2 + k3) + k4)
         z *= self.full
         z += acc
-        factor = 1.5 - 0.5 * (z.real * z.real + z.imag * z.imag)
+        # factor = 1.5 - 0.5 |z|^2, in the float view of the free stage array
+        factor, square = y.view(float).reshape(2, -1)
+        np.multiply(z.real, z.real, out=factor)
+        np.multiply(z.imag, z.imag, out=square)
+        factor += square
+        factor *= 0.5
+        np.subtract(1.5, factor, out=factor)
         z.real *= factor
         z.imag *= factor
         self.mean = z.mean()
         self.state.time += self.dt
         self.since += 1
         if self.since == self.every:
-            self._unwrap(self.unturn)
+            self._unwrap()
 
-    def _unwrap(self, unturn):
-        """Add arg(z conj(anchor) unturn), the turn of e^{-i omega t} z since the anchor."""
-        np.conjugate(self.anchor, out=self.rotated)
-        self.rotated *= self.z
-        self.rotated *= unturn
-        self.turned += np.angle(self.rotated)
+    def _unwrap(self):
+        """Add arg(z conj(anchor) e^{-i omega t}), the turn of e^{-i omega t} z since the anchor.
+
+        t = since dt; the stage array holds the table e^{-i omega t}.
+        """
+        unturn = self.stage
+        np.multiply(-1j * (self.since * self.dt), self.state.frequencies, out=unturn)
+        np.exp(unturn, out=unturn)
+        np.conjugate(self.anchor, out=self.anchor)
+        self.anchor *= self.z
+        self.anchor *= unturn
+        self.turned += np.angle(self.anchor)
         np.copyto(self.anchor, self.z)
         self.since = 0
 
@@ -230,7 +241,7 @@ class _Stepper:
         """Write the wrapped phases and the wrap offset back to the state."""
         state, (phases, time) = self.state, self.start
         if self.since:
-            self._unwrap(np.exp(-1j * (self.since * self.dt) * state.frequencies))
+            self._unwrap()
         new = phases + state.frequencies * (state.time - time) + self.turned
         wrapped = np.mod(new, TWO_PI)
         state.wrap_offset += float(np.sum(new - wrapped))

@@ -93,6 +93,7 @@ class VolterraSolution:
     """Solution samples on the uniform grid; R(0) equals F(0) exactly.
 
     ``source`` holds the samples of F on the same grid when ``solve`` made them.
+    Both are float arrays when the kernel and the source are real on the grid.
     """
 
     times: np.ndarray
@@ -106,11 +107,15 @@ class VolterraSolution:
 
 
 def _sample(func, times):
-    """Values of a vectorised callable on ``times``; any other shape is an error."""
-    out = np.asarray(func(times), dtype=complex)
+    """Values of a vectorised callable on ``times``: float unless some value is
+    not real.  Any other shape is an error."""
+    out = np.asarray(func(times))
     if out.shape != times.shape:
         raise ValueError(f"callable must be vectorised: shape {out.shape} for times {times.shape}")
-    return out
+    if np.iscomplexobj(out) and out.imag.any():
+        return out.astype(complex, copy=False)
+    # a copy of a complex array's real part: a view would keep the complex array alive
+    return out.real.astype(float, copy=not np.isrealobj(out))
 
 
 def _tilt(x, g):
@@ -148,7 +153,7 @@ def _block_product(x, g):
     """
     up = _tilt(x, g)
     size = _fast_len(g.size)
-    if x.imag.any() or g.imag.any():
+    if any(np.iscomplexobj(a) and a.imag.any() for a in (x, g)):
         prod = np.fft.ifft(np.fft.fft(x * up[: x.size], size) * np.fft.fft(g * up, size))
     else:
         spectrum = np.fft.rfft(x.real * up[: x.size], size) * np.fft.rfft(g.real * up, size)
@@ -190,7 +195,7 @@ def solve(problem):
     the one-dot-product-per-step march the values differ by rounding only:
     about 1e-15 max|R| in absolute terms, and, where |R| decays, a pointwise
     relative difference that stays near rounding down the tail.  A real
-    kernel and a real source give an exactly real R.
+    kernel and a real source are marched in float arrays and give a float R.
 
     Raises BlowupDetected when the kernel or the source is not finite on the
     grid (for instance a growing source that overflows).
@@ -200,27 +205,38 @@ def solve(problem):
     times = dt * np.arange(steps + 1)
     G = _sample(problem.kernel, times)
     F = _sample(problem.source, times)
-    if not (np.all(np.isfinite(G.view(float))) and np.all(np.isfinite(F.view(float)))):
+    if not (np.isfinite(G).all() and np.isfinite(F).all()):
         raise BlowupDetected("kernel or source not finite on the grid")
-    if not G.imag.any():
-        G = G.real
+    F = F.astype(np.result_type(G, F), copy=False)
 
     denom = 1.0 - 0.5 * dt * G[0]
     if abs(denom) < 1e-12:
         raise StepSolveFailure(f"implicit diagonal factor 1 - dt G(0)/2 = {denom} is singular")
 
     inv = _leaf_inverse(G, dt, denom, min(_LEAF, steps))
-    # a real inverse acts on the (re, im) pairs in real arithmetic, so a real
-    # kernel and source give an exactly real R however BLAS forms complex products
-    pairs = (lambda a: a) if np.iscomplexobj(inv) else (lambda a: a.view(float).reshape(-1, 2))
     R = np.zeros_like(F)
     R[0] = F[0]
     history = 0.5 * R[0] * G  # history[j]: the part of step j's sum known so far
 
+    def leaf(lo, hi):
+        n = hi - lo
+        rhs = F[lo:hi] + dt * history[lo:hi]
+        if np.iscomplexobj(inv):
+            R[lo:hi] = inv[:n, :n] @ rhs
+        elif np.iscomplexobj(rhs):
+            # a real inverse acts on the (re, im) pairs in real arithmetic
+            R.view(float).reshape(-1, 2)[lo:hi] = inv[:n, :n] @ rhs.view(float).reshape(-1, 2)
+        else:
+            # a zero imaginary column keeps the product's rounding that of the
+            # (re, im) pairs above; a matrix-vector product rounds otherwise
+            pairs = np.zeros((n, 2))
+            pairs[:, 0] = rhs
+            R[lo:hi] = (inv[:n, :n] @ pairs)[:, 0]
+
     def march(lo, hi):
         n = hi - lo
         if n <= _LEAF:
-            pairs(R)[lo:hi] = inv[:n, :n] @ pairs(F[lo:hi] + dt * history[lo:hi])
+            leaf(lo, hi)
             return
         mid = (lo + hi) // 2
         march(lo, mid)
@@ -237,7 +253,9 @@ def kuramoto_kernel(dist, coupling):
         raise ValueError(f"coupling must be nonnegative, got {coupling}")
 
     def kernel(t):
-        return 0.5 * coupling * dist.fourier_transform(t)
+        values = dist.fourier_transform(t)
+        values *= 0.5 * coupling
+        return values
 
     return kernel
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kuramoto_damping import cli, spectral, volterra
-from kuramoto_damping.cli import _CSV_CHUNK, _write_csv, main
+from kuramoto_damping.cli import _CSV_CHUNK, _read_csv, _write_csv, main
 from kuramoto_damping.distributions import (
     MAX_DERIVATIVE_ORDER,
     Cauchy,
@@ -469,6 +469,10 @@ _VALID = {
                                          "mass_threshold": 0}, id="linear-input-mass_threshold-zero"),
         pytest.param("linear", "input", {"type": "mode", "profile": {"kind": "constant"},
                                          "mass_threshold": True}, id="linear-input-mass_threshold-bool"),
+        # no profile reads a phase delay, so the key is unknown
+        pytest.param("linear", "input", {"type": "mode", "profile": {"kind": "gaussian",
+                                                                       "phase_delay": 0.5}},
+                     id="linear-input-profile-phase_delay"),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):
@@ -709,6 +713,26 @@ def test_linear_mode_memory_is_linear_in_the_step_count(tmp_path):
     assert peak <= 24 * 8 * steps
 
 
+def test_linear_csv_memory_is_linear_in_the_step_count(tmp_path):
+    # 10^5 steps peak at 113 bytes a step: the csv's array (24), R.csv's columns
+    # and the march's float arrays.  A body copied whole into a StringIO and a
+    # complex march of the real F took 189.
+    steps = 100_000
+    t = 1e-3 * np.arange(steps + 1)
+    path = tmp_path / "F.csv"
+    path.write_text("t,ReF,ImF\n" + _csv_body(zip(t.tolist(), np.exp(-t).tolist(), [0] * t.size)))
+    config = dict(_VALID["linear"](), input={"type": "csv", "path": str(path)},
+                  dt=1e-3, horizon=steps * 1e-3)
+    cfg = _write_config(tmp_path, "c.json", config)
+    tracemalloc.start()
+    try:
+        assert main(["linear", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * steps
+
+
 def _csv_reference(path, header, columns):
     """The one-value-at-a-time writer: floats with 17 significant digits, the rest by str."""
     with open(path, "w", newline="") as fh:
@@ -820,6 +844,37 @@ def test_malformed_csv_input_is_config_error_without_artifacts(tmp_path, capsys,
     assert main(["linear", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+def test_csv_input_with_a_late_byte_that_is_not_text_is_config_error(tmp_path, capsys):
+    # the file is decoded 8 KB at a time as it is read, so loadtxt meets this byte
+    path = tmp_path / "F.csv"
+    path.write_bytes(b"t,ReF,ImF\n" + b"0,1,0\n" * 10**4 + b"1,\xff,0\n")
+    config = dict(_VALID["linear"](), input={"type": "csv", "path": str(path)})
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "c.json", config)
+    assert main(["linear", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "is not text" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_csv_reader_memory_follows_the_parsed_array(tmp_path):
+    # the body goes from the file to loadtxt a line at a time: copied whole
+    # into a StringIO (4 bytes a character) it peaked at 7.8 times the array
+    rows = 10**5
+    t = 1e-3 * np.arange(rows)
+    path = tmp_path / "F.csv"
+    path.write_text("t,ReF,ImF\n" + _csv_body(zip(t.tolist(), np.exp(-t).tolist(), [0.0] * rows)))
+    tracemalloc.start()
+    try:
+        data = _read_csv(path, ("t", "ReF", "ImF"), "linear")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (rows, 3)
+    np.testing.assert_array_equal(data[:, 0], t)
+    assert peak < 2 * data.nbytes
 
 
 @pytest.mark.parametrize(

@@ -203,6 +203,33 @@ def test_block_march_matches_direct_march(dist, coupling, source, steps):
         assert not np.any(sol.values.imag)
 
 
+def _damped_cosine(t):
+    t = np.asarray(t, dtype=float)
+    return np.exp(-0.1 * t) * np.cos(t)
+
+
+def test_real_problem_is_marched_in_float_arrays():
+    # ghat of a centred Gaussian is complex-typed with no imaginary part; the
+    # kernel and a real source march as floats, and the same source typed
+    # complex gives the same bits
+    dt, steps = 0.01, 1000
+    kernel = kuramoto_kernel(Gaussian(1.0), 1.0)
+    sol = solve(VolterraProblem(kernel, _damped_cosine, dt, steps * dt))
+    assert sol.values.dtype == sol.source.dtype == np.float64
+    typed_complex = solve(VolterraProblem(kernel, lambda t: _damped_cosine(t) + 0j, dt, steps * dt))
+    assert sol.values.tobytes() == typed_complex.values.tobytes()
+
+
+def test_complex_kernel_with_real_source_is_marched_complex():
+    # an off-centre Cauchy g has a complex ghat; the real F is promoted
+    dt, steps = 0.01, 1000
+    kernel = kuramoto_kernel(Cauchy(1.0, 0.5), 1.5)
+    sol = solve(VolterraProblem(kernel, _damped_cosine, dt, steps * dt))
+    assert sol.values.dtype == sol.source.dtype == np.complex128
+    ref = _direct_march(kernel(sol.times), _damped_cosine(sol.times) + 0j, dt)
+    assert np.max(np.abs(sol.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_block_march_keeps_pointwise_accuracy_on_a_decaying_tail():
     # Two-bump Cauchy at 0.9 K_c: R decays by 13 orders over 16,000 steps
     # without a sign change, so the pointwise relative error is defined at
