@@ -164,6 +164,11 @@ def _fmt(x):
 
 
 _CSV_CHUNK = 4096  # rows per chunk: bounds the memory one chunk takes
+# Below this many rows floats are formatted one at a time: ``_FloatText`` costs about
+# 90 array calls per column whatever its length, and a process's first write builds
+# its tables.  A 5-column write breaks even near 150 rows in a warm process and
+# near 300 rows on a process's first write.
+_SMALL_CSV_ROWS = 256
 
 # A float field is laid out in a slot of four uint64 words (32 bytes):
 # "-0.000", the first digit and '.', the other 16 digits, then "e+XXX" and the
@@ -404,10 +409,13 @@ def _csv_chunk(columns, seps, floats, buf):
     widths, texts = [], {}
     for j, col in enumerate(columns):
         if col.dtype.kind == "f":
-            widths.append(_SLOT)
-            continue
-        # every other column as str; text holds no NUL byte
-        fields = [f"{v}{seps[j]}".encode() for v in col.tolist()]
+            if floats is not None:
+                widths.append(_SLOT)
+                continue
+            col = col.astype(float, copy=False)
+        # every other column, and the floats of a small csv, as text holding no NUL byte
+        fmt = _fmt if col.dtype.kind == "f" else str
+        fields = [f"{fmt(v)}{seps[j]}".encode() for v in col.tolist()]
         width = -(-max(map(len, fields)) // 8)
         texts[j] = np.array(fields, dtype=f"S{8 * width}").view(np.uint64).reshape(rows, width)
         widths.append(width)
@@ -428,15 +436,16 @@ def _write_csv(path, header, columns):
     """One row per entry, written a chunk of ``_CSV_CHUNK`` rows at a time.
 
     Float columns print exactly as ``'%.17g' % v``, every other column as
-    ``str``.  Floats are laid out by ``_FloatText`` with array operations;
-    only near-ties, non-finite values and |x| outside [1e-250, 1e250) go
-    through Python's % one value at a time.
+    ``str``.  Floats of a csv with at least ``_SMALL_CSV_ROWS`` rows are laid
+    out by ``_FloatText`` with array operations; only near-ties, non-finite
+    values and |x| outside [1e-250, 1e250) go through Python's % one value at
+    a time.  A smaller csv formats every float with %.
     """
     columns = [np.asarray(column) for column in columns]
     rows = min(map(len, columns), default=0)
     seps = [","] * (len(columns) - 1) + ["\n"]
     floats = None
-    if rows and any(col.dtype.kind == "f" for col in columns):
+    if rows >= _SMALL_CSV_ROWS and any(col.dtype.kind == "f" for col in columns):
         floats = _FloatText(min(rows, _CSV_CHUNK))
     buf = bytearray()
     with open(path, "wb") as fh:

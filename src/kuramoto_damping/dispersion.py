@@ -6,20 +6,13 @@ G(t) = (K/2) ghat(t); its dispersion function on the closed lower half plane
     D(w) = 1 - (K/2) * L(w),   L(w) = int_0^inf ghat(t) exp(-i w t) dt,
 
 has no zeros with Im(w) <= 0 exactly when the incoherent state is linearly
-stable.  Three equivalent views are implemented and cross-checked:
+stable.  L is each family's closed form, and two equivalent views of D are
+implemented:
 
-* direct Laplace evaluation (closed form per family, plus an independent
-  oscillation-aware quadrature),
-* the real-axis boundary form L(w) = pi g(-w) - i * pv-integral, which yields
-  the boundary criterion: where the principal-value part vanishes at w*,
-  stability requires K < 2 / (pi g(-w*)),
+* the boundary criterion: where Im L vanishes at a real w*, D is real, and
+  stability requires K < 2 / Re L(w*) (Re L(w) = pi g(-w) on the real axis),
 * the winding number of the image of the real line under D around the origin,
   which counts the zeros in the open lower half plane.
-
-Note on the boundary form: the reflection g(-w) (rather than g(w)) is forced
-by the sign convention ghat(t) = int g exp(-i t w); for symmetric densities
-the two agree.  The quadrature cross-check in ``boundary_values`` guards the
-orientation.
 """
 
 from __future__ import annotations
@@ -31,22 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import fourier_moment
-from .exceptions import (
-    CrossCheckFailure,
-    DomainError,
-    MarginalError,
-    NoZeroFound,
-    RootNotConverged,
-)
+from .exceptions import DomainError, MarginalError, NoZeroFound, RootNotConverged
 
 __all__ = [
     "DispersionRelation",
     "StabilityReport",
-    "BoundaryValues",
     "laplace_transform",
-    "laplace_transform_quadrature",
-    "hilbert_boundary_transform",
-    "boundary_values",
     "winding_number",
     "critical_coupling",
     "find_unstable_root",
@@ -54,13 +37,8 @@ __all__ = [
     "analyze_stability",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
 #: |D| below this value on the real axis is treated as a marginal case.
 MARGINAL_ABS_TOL = 1e-6
-CROSS_CHECK_TOL = 1e-6  # largest gap between the Laplace and boundary-form routes
-_PV_CORE = 1e-4  # below this s the principal-value integrand is its Taylor core
 # Winding contour: initial samples, refinement budget, chord / |D| ceiling.
 _WINDING_POINTS, _WINDING_MAX_POINTS, _WINDING_CHORD = 1025, 400_000, 0.05
 _SCAN_POINTS = 4001  # samples of Im L on the real axis when bracketing its zeros
@@ -85,83 +63,11 @@ def laplace_transform(dist, omega):
     return total if np.ndim(total) else complex(total)
 
 
-def laplace_transform_quadrature(dist, omega, horizon):
-    """Independent evaluation of L(w) by composite panels in t up to ``horizon``.
-
-    Panels are sized so the total phase per panel stays within the resolving
-    power of 16-point Gauss-Legendre.
-    """
-    _check_lower_half(omega)
-    omega = complex(omega)
-    loc, _, halfspan = dist.location_hints()
-    phase_rate = abs(omega.real) + abs(loc) + halfspan + 1.0
-    panels = int(min(8192, max(16, math.ceil(horizon * phase_rate / 6.0))))
-    edges = np.linspace(0.0, horizon, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    values = dist.fourier_transform(t) * np.exp(-1j * omega * t)
-    return complex(np.sum(w * values))
-
-
 def _envelope_horizon(dist, tail_tol):
     t = 1.0
     while dist.fourier_tail_integral(t) > tail_tol and t < 4096.0:
         t *= 2.0
     return t
-
-
-def hilbert_boundary_transform(dist, omega):
-    """Boundary value of L at real ``omega`` via the principal-value form.
-
-    L(w) = pi g(-w) - i * pv int g(v)/(v + w) dv, with the principal value
-    written as int_0^inf (g(s - w) - g(-s - w))/s ds.  The s -> 0 limit is
-    replaced below ``_PV_CORE`` by its Taylor expansion 2 g'(-w) s, removing
-    the 0/0 numerically.
-    """
-    omega = float(omega)
-    g = dist.density
-    # Core: integrand -> 2 g'(-w) + s^2 g'''(-w)/3 + ...
-    core = 2.0 * dist.density_derivative(-omega, 1) * _PV_CORE
-    core += dist.density_derivative(-omega, 3) * _PV_CORE**3 / 9.0
-
-    # Feature locations of g(±s - w) in the s variable.
-    features = set()
-    for _, comp in dist._components():
-        center = comp.location_hints()[0]
-        width = comp.location_hints()[1]
-        base = abs(center + omega)
-        for k in (-3.0, -1.0, 0.0, 1.0, 3.0):
-            features.add(base + k * width)
-
-    s_max = _pv_upper_limit(dist, omega)
-    breaks = sorted({_PV_CORE, s_max} | {f for f in features if _PV_CORE < f < s_max})
-    # Geometric ladder keeps long featureless stretches well-conditioned.
-    ladder = _PV_CORE
-    while ladder < s_max:
-        ladder *= 4.0
-        if _PV_CORE < ladder < s_max:
-            breaks.append(ladder)
-    breaks = np.array(sorted(set(breaks)))
-
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    s = (mid[:, None] + half[:, None] * _GL24_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL24_WEIGHTS[None, :]).ravel()
-    pv = core + float(np.sum(w * (g(s - omega) - g(-s - omega)) / s))
-    return np.pi * dist.density(-omega) - 1j * pv
-
-
-def _pv_upper_limit(dist, omega):
-    loc, scale, halfspan = dist.location_hints()
-    s = max(64.0 * (abs(omega) + abs(loc) + halfspan + scale), 1e3)
-    if dist.heavy_tailed:
-        # Tail of the pv integrand is ~ 4*scale*|w|/(pi s^4); push s until the
-        # analytic remainder is far below the cross-check tolerance.
-        while 2.0 * scale * (abs(omega) + halfspan + 1.0) / s**3 > 1e-12 and s < 1e8:
-            s *= 2.0
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -174,57 +80,18 @@ class DispersionRelation:
 
     dist: object
     coupling: float
+    # a t with (K/2) int_t^inf |ghat| below 1e-12, at most 4096: diagnostics.laplaceHorizon
     laplace_horizon: float = field(init=False)
 
     def __post_init__(self):
         if self.coupling < 0:
             raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
-        # (K/2) * envelope tail below 1e-12 at the horizon.
         bound = 1e-12 / max(self.coupling / 2.0, 1e-6)
         object.__setattr__(self, "laplace_horizon", _envelope_horizon(self.dist, bound))
 
     def evaluate(self, omega):
         """D(w) for Im(w) <= 0, closed form."""
         return 1.0 - 0.5 * self.coupling * laplace_transform(self.dist, omega)
-
-    def evaluate_quadrature(self, omega):
-        """D(w) via the truncated Laplace integral (independent route)."""
-        val = laplace_transform_quadrature(self.dist, omega, self.laplace_horizon)
-        return 1.0 - 0.5 * self.coupling * val
-
-    def evaluate_boundary(self, omega):
-        """D(w) at real w via the principal-value boundary form."""
-        return 1.0 - 0.5 * self.coupling * hilbert_boundary_transform(self.dist, omega)
-
-
-@dataclass
-class BoundaryValues:
-    """Boundary evaluations of D along a real grid, by two independent routes."""
-
-    omegas: np.ndarray
-    laplace: np.ndarray
-    hilbert: np.ndarray
-
-
-def boundary_values(relation, omega_grid):
-    """Evaluate D on a sorted real grid by quadrature and by the boundary form.
-
-    Raises CrossCheckFailure when the two routes disagree beyond
-    ``CROSS_CHECK_TOL`` - that signals a quadrature misconfiguration, not a
-    property of the distribution.
-    """
-    omegas = np.asarray(omega_grid, dtype=float)
-    if omegas.ndim != 1 or np.any(np.diff(omegas) <= 0):
-        raise ValueError("omega grid must be one-dimensional and strictly increasing")
-    laplace = np.array([relation.evaluate_quadrature(w) for w in omegas])
-    hilbert = np.array([relation.evaluate_boundary(w) for w in omegas])
-    worst = float(np.max(np.abs(laplace - hilbert))) if omegas.size else 0.0
-    if worst > CROSS_CHECK_TOL:
-        raise CrossCheckFailure(
-            f"Laplace and boundary evaluations disagree by {worst:.3e} "
-            f"(tolerance {CROSS_CHECK_TOL:.1e})"
-        )
-    return BoundaryValues(omegas=omegas, laplace=laplace, hilbert=hilbert)
 
 
 # ---------------------------------------------------------------------------
@@ -328,30 +195,45 @@ def _refine_sign_changes(dist, lo, hi):
     """Refine every bracket [lo, hi] of a sign change of Im L at once.
 
     Illinois steps: regula falsi, halving the value at an end that is kept twice
-    in a row.  A bracket that three steps have not halved is bisected, so every
-    bracket at least halves in four steps.  Stops, as brentq does, once each
-    bracket is at most 1e-14 + 4 eps |x| wide, and returns the midpoints.
+    in a row.  A bracket that three steps have not halved, or whose falsi point
+    is not strictly inside, is bisected, so every bracket at least halves in four
+    steps.  Every bracket steps until each is at most 1e-14 + 4 eps |x| wide, as
+    brentq stops, and the midpoints are returned.  There are few brackets, so
+    their bookkeeping is on Python floats; each step takes Im L at all new points
+    in one call.  A NaN value of Im L raises NoZeroFound.
     """
 
-    def im(x):
-        return np.imag(laplace_transform(dist, x))
+    def im(x):  # real points, so the half-plane check of ``laplace_transform`` is moot
+        values = np.imag(dist.laplace_transform(np.array(x, dtype=complex))).tolist()
+        if any(map(math.isnan, values)):
+            raise NoZeroFound(f"Im L is NaN at a point of {x}, inside a bracket of its sign change")
+        return values
 
+    lo, hi = lo.tolist(), hi.tolist()
     f_lo, f_hi = im(lo), im(hi)
-    kept_lo = kept_hi = np.zeros(lo.size, dtype=bool)
-    widths = [np.full(lo.size, np.inf)] * 3  # bracket widths of the last three steps
-    while np.any(hi - lo > _ZERO_XTOL + _ZERO_RTOL * np.maximum(np.abs(lo), np.abs(hi))):
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        bisect = (hi - lo > 0.5 * widths[0]) | (x <= lo) | (x >= hi)
-        x = np.where(bisect, 0.5 * (lo + hi), x)
-        fx = im(x)
-        left = np.sign(fx) != np.sign(f_lo)  # the zero lies in [lo, x]
-        f_lo = np.where(left & kept_lo, 0.5 * f_lo, f_lo)
-        f_hi = np.where(~left & kept_hi, 0.5 * f_hi, f_hi)
-        lo, f_lo = np.where(left & (fx != 0.0), lo, x), np.where(left, f_lo, fx)
-        hi, f_hi = np.where(left, x, hi), np.where(left, fx, f_hi)
-        kept_lo, kept_hi = left, ~left
-        widths = widths[1:] + [hi - lo]
-    return [float(x) for x in 0.5 * (lo + hi)]
+    went_left = [None] * len(lo)  # the side of the previous step: the zero in [lo, x]
+    widths = [[float("inf")] * len(lo)] * 3  # bracket widths of the last three steps
+    while any(b - a > _ZERO_XTOL + _ZERO_RTOL * max(abs(a), abs(b)) for a, b in zip(lo, hi)):
+        x = []
+        for a, b, fa, fb, w in zip(lo, hi, f_lo, f_hi, widths[0]):
+            # fa is nonzero with the sign opposite fb's, unless halving underflowed it to 0
+            falsi = (a * fb - b * fa) / (fb - fa) if fb != fa else a
+            x.append(falsi if b - a <= 0.5 * w and a < falsi < b else 0.5 * (a + b))
+        for i, (v, fv) in enumerate(zip(x, im(x))):
+            if (fv > 0) - (fv < 0) != (f_lo[i] > 0) - (f_lo[i] < 0):  # the zero lies in [lo, x]
+                if went_left[i] is True:
+                    f_lo[i] *= 0.5
+                if fv == 0.0:
+                    lo[i] = v
+                hi[i], f_hi[i] = v, fv
+                went_left[i] = True
+            else:
+                if went_left[i] is False:
+                    f_hi[i] *= 0.5
+                lo[i], f_lo[i] = v, fv
+                went_left[i] = False
+        widths = widths[1:] + [[b - a for a, b in zip(lo, hi)]]
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
 def critical_coupling(dist):

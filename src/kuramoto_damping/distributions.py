@@ -494,11 +494,32 @@ class Mixture(FrequencyDistribution):
 
     def abs_moment(self, n):
         if len({c.location_hints()[0] for c in self.components}) > 1:
-            return None  # cross terms oscillate, no elementary closed form
+            return self._two_bump_abs_moment(n)  # cross terms oscillate
         moments = [c.abs_moment(n) for c in self.components]
         if None in moments:
             return None
         return sum(w * m for w, m in zip(self.weights, moments))
+
+    def _two_bump_abs_moment(self, n):
+        """int_0^inf |ghat| for two equal-weight Cauchy bumps of one width, else None.
+
+        With the bumps at mu -+ omega0, |ghat(t)| = exp(-delta t) |cos(omega0 t)|,
+        and summing over the periods pi/omega0 gives
+        (delta + omega0 csch x) / (delta^2 + omega0^2), x = pi delta / (2 omega0).
+        csch x = -2 exp(-x) / expm1(-2x) neither overflows nor cancels.
+        """
+        if n != 0 or len(self.components) != 2 or self.weights[0] != self.weights[1]:
+            return None
+        first, second = self.components
+        if not (isinstance(first, Cauchy) and isinstance(second, Cauchy)):
+            return None
+        delta = first.half_width
+        if second.half_width != delta:
+            return None
+        gap = abs(second.center - first.center)  # 2 omega0 > 0: the centers differ
+        omega0, x = 0.5 * gap, math.pi * delta / gap
+        csch = -2.0 * math.exp(-x) / math.expm1(-2.0 * x)
+        return (delta + omega0 * csch) / (delta * delta + omega0 * omega0)
 
     def to_config(self):
         return {

@@ -25,10 +25,6 @@ class DomainError(KuramotoDampingError):
     """Evaluation requested outside the closed lower half plane."""
 
 
-class CrossCheckFailure(KuramotoDampingError):
-    """Two independent evaluations of the same quantity disagree."""
-
-
 class MarginalError(KuramotoDampingError):
     """The dispersion curve passes too close to the origin to count windings."""
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kuramoto_damping import cli, spectral, volterra
-from kuramoto_damping.cli import _CSV_CHUNK, _read_csv, _write_csv, main
+from kuramoto_damping.cli import _CSV_CHUNK, _SMALL_CSV_ROWS, _read_csv, _write_csv, main
 from kuramoto_damping.distributions import (
     MAX_DERIVATIVE_ORDER,
     Cauchy,
@@ -758,7 +758,9 @@ _AWKWARD = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
             *[k * 0.001 for k in range(1, 30001, 293)]]
 
 
-@pytest.mark.parametrize("rows", [0, 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+@pytest.mark.parametrize(
+    "rows", [0, 1, _SMALL_CSV_ROWS - 1, _SMALL_CSV_ROWS, _CSV_CHUNK, _CSV_CHUNK + 1]
+)
 def test_csv_writer_matches_one_value_at_a_time(tmp_path, rows):
     floats = np.resize(np.array(_AWKWARD), rows)
     columns = [

@@ -11,7 +11,6 @@ from kuramoto_damping import dispersion
 from kuramoto_damping.dispersion import (
     DispersionRelation,
     analyze_stability,
-    boundary_values,
     critical_coupling,
     find_unstable_root,
     l1_sufficient_check,
@@ -27,9 +26,15 @@ from kuramoto_damping.distributions import (
     build_grid,
     fourier_moment,
 )
-from kuramoto_damping.exceptions import DomainError, MarginalError
+from kuramoto_damping.exceptions import DomainError, MarginalError, NoZeroFound
 
 from conftest import dense_winding_oracle
+from dispersion_reference import (
+    boundary_values,
+    evaluate_boundary,
+    evaluate_quadrature,
+    refine_sign_changes,
+)
 
 TEST_DISTS = [Cauchy(1.0), Gaussian(1.0), bi_cauchy(1.0, 2.0)]
 
@@ -58,7 +63,7 @@ def test_cauchy_critical_value_at_origin():
     # K = 2 Delta is exactly critical: D(0) = 1 - K/2 = 0
     rel = DispersionRelation(Cauchy(1.0), 2.0)
     assert abs(rel.evaluate(0.0)) <= 1e-14
-    quad = rel.evaluate_quadrature(0.0)
+    quad = evaluate_quadrature(rel, 0.0)
     assert abs(quad) <= 1e-10
 
 
@@ -72,7 +77,7 @@ def test_evaluate_rejects_upper_half_plane():
 def test_closed_form_matches_quadrature(dist):
     rel = DispersionRelation(dist, 1.0)
     grid = np.linspace(-25.0, 25.0, 200)
-    worst = max(abs(rel.evaluate(w) - rel.evaluate_quadrature(w)) for w in grid)
+    worst = max(abs(rel.evaluate(w) - evaluate_quadrature(rel, w)) for w in grid)
     assert worst <= 1e-7
 
 
@@ -119,7 +124,7 @@ def test_boundary_values_cross_check_and_symmetry():
 def test_boundary_real_part_at_origin_cauchy():
     # Re D(0) = 1 - K/2 for the unit Cauchy
     rel = DispersionRelation(Cauchy(1.0), 1.0)
-    val = rel.evaluate_boundary(0.0)
+    val = evaluate_boundary(rel, 0.0)
     assert val.real == pytest.approx(0.5, abs=1e-10)
     assert val.imag == pytest.approx(0.0, abs=1e-10)
 
@@ -407,6 +412,81 @@ def test_boundary_zeros_match_brentq(dist):
             continue
         ref = optimize.brentq(im, z - 1e-3, z + 1e-3, xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
         assert abs(z - ref) <= 1e-13
+
+
+def _bench_sweeps(scale):
+    """The densities of the bench's three kc-scan sweeps, across both two-bump branches."""
+    sweep = np.linspace(0.0, 3.0, 25)
+    return (
+        [bi_cauchy(scale, scale * r) for r in sweep]
+        + [bi_cauchy(0.5 * scale, 0.5 * scale * r) for r in sweep]
+        + [bi_cauchy(scale * r, scale) for r in sweep + 0.25]
+    )
+
+
+_THREE_BUMPS = Mixture(
+    (0.2, 0.5, 0.3), (Gaussian(0.3, -3.0), Gaussian(0.3, 0.0), Gaussian(0.3, 3.0))
+)
+_ASYMMETRIC = Mixture((0.3, 0.7), (Cauchy(0.5, -2.0), Gaussian(0.6, 1.5)))
+_REFINED = [
+    *(dist for scale in (0.8, 1.0, 1.25) for dist in _bench_sweeps(scale)),
+    Gaussian(1.0), Gaussian(0.7, 0.3), Cauchy(1.0), Cauchy(0.6, -0.4), _ASYMMETRIC, _THREE_BUMPS,
+]
+
+
+def test_refinement_repeats_the_array_iterates(monkeypatch):
+    # the scalar bookkeeping takes the steps of the array form, to the last bit
+    def zeros_and_kc():
+        out = []
+        for dist in _REFINED:
+            zeros = dispersion._boundary_imag_zeros(dist)
+            kc, crit = dispersion._critical(dist, zeros)
+            out.append([z.hex() for z in zeros] + [kc.hex()] + [c.hex() for c in crit])
+        return out
+
+    def reports():
+        cases = [bi_cauchy(1.0, 2.0), Gaussian(1.0), Cauchy(1.0), _ASYMMETRIC, _THREE_BUMPS]
+        return [
+            json.dumps(analyze_stability(dist, factor * critical_coupling(dist)[0]).to_json_dict())
+            for dist in cases
+            for factor in (0.7, 1.3)
+        ]
+
+    brackets = []
+
+    def counted(dist, lo, hi):
+        brackets.append(lo.size)
+        return refine_sign_changes(dist, lo, hi)
+
+    scalar = zeros_and_kc(), reports()
+    monkeypatch.setattr(dispersion, "_refine_sign_changes", counted)
+    assert (zeros_and_kc(), reports()) == scalar
+    assert max(brackets) >= 3
+
+
+def test_narrow_far_bumps_get_their_l1_check():
+    # the adaptive rule hits its panel cap on the kinks of |ghat| here (Divergent)
+    report = analyze_stability(bi_cauchy(1.0, 1000.0), 1.0)
+    assert report.verdict == "Stable"
+    assert report.diagnostics["l1SufficientCheck"] is True  # (1/2) (2/pi) < 1
+
+
+class _NanBetweenSamples(FrequencyDistribution):
+    """Im L changes sign at 0.121, between two scan samples, and is NaN next to it."""
+
+    def location_hints(self):
+        return (0.1, 1.0, 0.0)
+
+    def laplace_transform(self, omega):
+        x = np.real(omega) - 0.121
+        values = 1.0 / (1.0 + 1j * x)
+        values[np.abs(x) < 1e-4] = complex(np.nan, np.nan)
+        return values
+
+
+def test_nan_inside_a_bracket_raises():
+    with pytest.raises(NoZeroFound):
+        dispersion._boundary_imag_zeros(_NanBetweenSamples())
 
 
 # The bench's stability configurations at frequency scales 1 and 1.25, with the

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from kuramoto_damping import distributions
+from kuramoto_damping.dispersion import DispersionRelation, l1_sufficient_check
 from kuramoto_damping.distributions import (
     MAX_DERIVATIVE_ORDER,
     Cauchy,
     FrequencyDistribution,
     Gaussian,
     Mixture,
+    _gauss_kronrod,
     bi_cauchy,
     build_grid,
     distribution_from_config,
@@ -310,6 +313,91 @@ def test_two_bump_moment_zero_matches_closed_form(delta, omega0):
     assert fourier_moment(bi_cauchy(delta, omega0), 0) == pytest.approx(
         _two_bump_abs_moment(delta, omega0), rel=1e-10
     )
+
+
+def _gauss_kronrod_moment(dist):
+    """int_0^inf |ghat| by the adaptive rule, sized as ``fourier_moment`` sizes it."""
+    horizon = 1.0
+    while dist.fourier_tail_integral(horizon) >= 1e-13 and horizon <= 1e9:
+        horizon *= 2.0
+    return _gauss_kronrod(
+        lambda t: np.abs(dist.fourier_transform(t)), [0.0, horizon], epsabs=1e-12, epsrel=1e-11
+    )
+
+
+def _kinked_quad_moment(delta, omega0):
+    """int_0^T e^{-delta t} |cos(omega0 t)| dt by QUADPACK, told every kink, to T = 40/delta."""
+    from scipy import integrate
+
+    horizon = 40.0 / delta  # e^{-40} / delta is below 1e-17 of the integral
+    kinks = np.arange(0.5, horizon * omega0 / math.pi) * math.pi / omega0
+    return integrate.quad(
+        lambda t: math.exp(-delta * t) * abs(math.cos(omega0 * t)), 0.0, horizon,
+        points=kinks, limit=2 * kinks.size + 100, epsabs=0.0, epsrel=1e-13,
+    )[0]
+
+
+_RATIOS = [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3]  # delta / omega0
+
+
+@pytest.mark.parametrize("delta", [0.4, 1.0, 3.0])
+@pytest.mark.parametrize("ratio", _RATIOS)
+def test_two_bump_abs_moment_matches_quadpack(delta, ratio):
+    # measured at most 1.4e-14 relative, at ratio 1e-3
+    omega0 = delta / ratio
+    closed = bi_cauchy(delta, omega0).abs_moment(0)
+    assert closed == pytest.approx(_kinked_quad_moment(delta, omega0), rel=3e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.4, 1.0, 3.0])
+@pytest.mark.parametrize("ratio", _RATIOS[1:])
+def test_two_bump_abs_moment_matches_gauss_kronrod(delta, ratio):
+    # measured at most 4.8e-13 relative; the rule's own tolerance is 1e-11
+    dist = bi_cauchy(delta, delta / ratio)
+    assert dist.abs_moment(0) == pytest.approx(_gauss_kronrod_moment(dist), rel=1e-12, abs=0.0)
+
+
+def test_gauss_kronrod_cannot_resolve_narrow_far_bumps():
+    # 2 10^4 kinks of |ghat| before the tail is negligible: the closed form is the only route
+    with pytest.raises(Divergent):
+        _gauss_kronrod_moment(bi_cauchy(1.0, 1e3))
+
+
+def test_two_bump_abs_moment_limits():
+    assert bi_cauchy(0.7, 0.0).abs_moment(0) == 1.0 / 0.7
+    assert bi_cauchy(0.7, 5e-324).abs_moment(0) == 1.0 / 0.7  # pi delta / (2 omega0) = inf
+    # pi delta / (2 omega0) > 710: exp(-x) underflows, and csch x is 0
+    assert bi_cauchy(1.0, 2e-3).abs_moment(0) == 1.0 / (1.0 + 4e-6)
+    assert math.isfinite(bi_cauchy(500.0, 1.0).abs_moment(0))
+    shifted = Mixture((0.5, 0.5), (Cauchy(0.5, 3.0), Cauchy(0.5, 7.0)))  # mu = 5, omega0 = 2
+    assert shifted.abs_moment(0) == bi_cauchy(0.5, 2.0).abs_moment(0)
+
+
+@pytest.mark.parametrize(
+    "dist, n",
+    [
+        (Mixture((0.4, 0.6), (Cauchy(1.0, -2.0), Cauchy(1.0, 2.0))), 0),
+        (Mixture((0.5, 0.5), (Cauchy(1.0, -2.0), Cauchy(1.5, 2.0))), 0),
+        (Mixture((0.5, 0.5), (Gaussian(1.0, -2.0), Gaussian(1.0, 2.0))), 0),
+        (Mixture((0.5, 0.5), (Cauchy(1.0, -2.0), Gaussian(1.0, 2.0))), 0),
+        (Mixture((0.25, 0.5, 0.25), (Cauchy(1.0, -2.0), Cauchy(1.0, 0.0), Cauchy(1.0, 2.0))), 0),
+        (bi_cauchy(1.0, 2.0), 1),
+        (bi_cauchy(1.0, 2.0), 4),
+    ],
+    ids=["unequal-weights", "unequal-widths", "gaussians", "cauchy-gauss", "three-bumps",
+         "order-1", "order-4"],
+)
+def test_abs_moment_has_no_closed_form_for_other_mixtures(dist, n):
+    assert dist.abs_moment(n) is None
+
+
+def test_two_bump_l1_check_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature reached")
+
+    monkeypatch.setattr(distributions, "_gauss_kronrod", refuse)
+    relation = DispersionRelation(bi_cauchy(1.0, 2.0), 3.0)
+    assert l1_sufficient_check(relation) == (1.5 * bi_cauchy(1.0, 2.0).abs_moment(0) < 1.0)
 
 
 class _RoughTransform(FrequencyDistribution):
