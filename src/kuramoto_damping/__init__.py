@@ -9,8 +9,8 @@ Modules by concern:
   boundary criterion, winding-number index, critical couplings, unstable
   roots.
 * ``volterra`` - the memory-kernel equation of the linearized order
-  parameter: product-trapezoidal marching, decay fits, stability-constant
-  measurements, exponential-growth witnesses.
+  parameter: product-trapezoidal marching, decay fits, exponential-growth
+  witnesses.
 * ``spectral`` - nonlinear pseudo-spectral simulation of the perturbation:
   theta modes on a frequency grid, exact free transport, Sobolev
   diagnostics, scattering profiles, echo horizons.

@@ -9,13 +9,20 @@ directory, and drops a config.json sidecar carrying the resolved config and a
 format-version field.  Time series go to CSV (floats printed with 17
 significant digits so reruns are byte-identical), reports to JSON.
 
-Exit codes: 0 success, 2 config/validation error (no artifacts), 3 numeric
-failure (diagnostic error.json written when possible).
+The command line is read as argparse read it, without importing argparse
+(whose gettext and locale imports cost about 2 ms a call): options may come
+before or after the experiment, as ``--opt value`` or ``--opt=value`` or a
+unique prefix such as ``--conf``, and the last of a repeated option wins.
+``-h`` prints the help and exits 0; a usage error prints the usage and exits 2.
+
+Exit codes: 0 success, 2 usage or config/validation error (no artifacts; a
+``--config`` that cannot be read or an ``--out`` that cannot be made a
+directory is a config error), 3 numeric failure (diagnostic error.json
+written when possible).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
@@ -432,27 +439,34 @@ def _csv_chunk(columns, seps, floats, buf):
     return buf
 
 
-def _write_csv(path, header, columns):
+def _write_csv(path, header, columns, rows=None):
     """One row per entry, written a chunk of ``_CSV_CHUNK`` rows at a time.
 
-    Float columns print exactly as ``'%.17g' % v``, every other column as
-    ``str``.  Floats of a csv with at least ``_SMALL_CSV_ROWS`` rows are laid
-    out by ``_FloatText`` with array operations; only near-ties, non-finite
-    values and |x| outside [1e-250, 1e250) go through Python's % one value at
-    a time.  A smaller csv formats every float with %.
+    ``columns`` is a list of columns, or a function of (lo, hi) that returns
+    rows lo to hi of every column for a csv of ``rows`` rows, so that columns
+    derived from others are built one chunk at a time.  Float columns print
+    exactly as ``'%.17g' % v``, every other column as ``str``.  Floats of a
+    csv with at least ``_SMALL_CSV_ROWS`` rows are laid out by ``_FloatText``
+    with array operations; only near-ties, non-finite values and |x| outside
+    [1e-250, 1e250) go through Python's % one value at a time.  A smaller csv
+    formats every float with %.
     """
-    columns = [np.asarray(column) for column in columns]
-    rows = min(map(len, columns), default=0)
-    seps = [","] * (len(columns) - 1) + ["\n"]
+    if callable(columns):
+        block = columns
+    else:
+        columns = [np.asarray(column) for column in columns]
+        rows = min(map(len, columns), default=0)
+        block = lambda lo, hi: [col[lo:hi] for col in columns]
+    seps = [","] * (len(header) - 1) + ["\n"]
     floats = None
-    if rows >= _SMALL_CSV_ROWS and any(col.dtype.kind == "f" for col in columns):
-        floats = _FloatText(min(rows, _CSV_CHUNK))
     buf = bytearray()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for lo in range(0, rows, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, rows)
-            buf = _csv_chunk([col[lo:hi] for col in columns], seps, floats, buf)
+            chunk = [np.asarray(col) for col in block(lo, min(lo + _CSV_CHUNK, rows))]
+            if lo == 0 and rows >= _SMALL_CSV_ROWS and any(col.dtype.kind == "f" for col in chunk):
+                floats = _FloatText(len(chunk[0]))
+            buf = _csv_chunk(chunk, seps, floats, buf)
             fh.write(buf.translate(None, b"\0"))
 
 
@@ -521,12 +535,13 @@ def _write_sidecar(outdir, experiment, config):
 
 
 def _order_parameter_csv(path, times, values, weight_order):
-    weighted = (1.0 + times) ** weight_order * np.abs(values)
-    _write_csv(
-        path,
-        ["t", "Re(R)", "Im(R)", "abs(R)", f"(1+t)^{weight_order}*abs(R)"],
-        [times, values.real, values.imag, np.abs(values), weighted],
-    )
+    def block(lo, hi):
+        t, r = times[lo:hi], values[lo:hi]
+        size = np.abs(r)
+        return [t, r.real, r.imag, size, (1.0 + t) ** weight_order * size]
+
+    header = ["t", "Re(R)", "Im(R)", "abs(R)", f"(1+t)^{weight_order}*abs(R)"]
+    _write_csv(path, header, block, len(times))
 
 
 # ---------------------------------------------------------------------------
@@ -942,35 +957,143 @@ def _load_config(path):
             config = json.load(fh)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the parser's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:  # a directory, say: '' names the working directory
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return config
 
 
+# The usage and help texts argparse printed for this grammar, laid out as at 80 columns.
+_USAGE = (
+    "usage: kuramoto-damping [-h] --config CONFIG [--out OUT]\n"
+    "                        {" + ",".join(EXPERIMENTS) + "}\n"
+)
+_HELP = (
+    _USAGE + "\n"
+    "Experiments on damping of the incoherent state in the mean-field oscillator\n"
+    "ensemble\n\n"
+    "positional arguments:\n"
+    "  {" + ",".join(EXPERIMENTS) + "}\n\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --config CONFIG       experiment config JSON\n"
+    "  --out OUT             output directory (default out-<experiment>)\n"
+)
+_OPTIONS = ("-h", "--help", "--config", "--out")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage_error(message):
+    sys.stderr.write(f"{_USAGE}kuramoto-damping: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(arg):
+    """(option, value after '=' or None) for an option token; None for an argument.
+
+    The option is None for an unknown one.  As argparse reads them: an option
+    may be a unique prefix of a long option, '-h' may carry more 'h's, and a
+    token that looks like a negative number or holds a space, without naming
+    an option, is an argument.
+    """
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    if arg in _OPTIONS:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in _OPTIONS:
+        return name, value
+    if arg[1] == "-":
+        matches = [option for option in _OPTIONS if option.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg.startswith("-h"):
+        return "-h", arg[2:]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _parse_args(argv):
+    """(experiment, config path, out dir or None) from the command line.
+
+    The grammar is ``<experiment> --config PATH [--out DIR]``.  Every argv
+    has the outcome argparse gave it: options before or after the
+    experiment, ``--opt value`` or ``--opt=value``, unique prefixes of the
+    long options, the last of a repeated option, and '--' before arguments
+    that start with '-'.  ``-h`` prints the help to stdout and raises
+    SystemExit(0); a usage error prints the usage and the error to stderr
+    and raises SystemExit(2).  The one departure: ``--config=--`` gives the
+    path '--', where argparse gave an empty list.
+    """
+    argv = list(argv)
+    # an argument is None; after '--' every token is one
+    kinds = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            kinds += ["--"] + [None] * (len(argv) - i - 1)
+            break
+        kinds.append(_option(arg))
+    values, extras = {}, []
+    i = 0
+    while i < len(argv):
+        kind = kinds[i]
+        if kind is None or kind == "--":
+            # the experiment takes one argument, with a '--' on either side
+            start = i + (kind == "--")
+            if "experiment" in values or start == len(argv):
+                extras.append(argv[i])
+                i += 1
+                continue
+            values["experiment"] = argv[start]
+            i = start + 1 + (kinds[start + 1 : start + 2] == ["--"])
+            if values["experiment"] not in EXPERIMENTS:
+                choices = ", ".join(map(repr, EXPERIMENTS))
+                _usage_error(
+                    f"argument experiment: invalid choice: {values['experiment']!r} "
+                    f"(choose from {choices})"
+                )
+            continue
+        option, value = kind
+        if option is None:
+            extras.append(argv[i])
+        elif option in ("-h", "--help"):
+            # '-h' takes more 'h's after it, and nothing else
+            if value is not None and (option != "-h" or value.lstrip("h") or not value):
+                ignored = value.lstrip("h") if option == "-h" else value
+                _usage_error(f"argument -h/--help: ignored explicit argument {ignored!r}")
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        elif value is not None:
+            values[option] = value
+        elif i + 1 < len(argv) and kinds[i + 1] is None:
+            i += 1
+            values[option] = argv[i]
+        else:
+            _usage_error(f"argument {option}: expected one argument")
+        i += 1
+    missing = [key for key in ("experiment", "--config") if key not in values]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return values["experiment"], values["--config"], values.get("--out")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="kuramoto-damping",
-        description="Experiments on damping of the incoherent state in the mean-field "
-        "oscillator ensemble",
-    )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", required=True, help="experiment config JSON")
-    parser.add_argument("--out", default=None, help="output directory (default out-<experiment>)")
-    args = parser.parse_args(argv)
-
-    try:
-        config = _load_config(args.config)
-        # Validate fully before touching the output directory.
-        outdir = Path(args.out) if args.out else Path(f"out-{args.experiment}")
-        runner = RUNNERS[args.experiment]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+    experiment, config_path, out = _parse_args(sys.argv[1:] if argv is None else argv)
+    outdir = Path(out) if out else Path(f"out-{experiment}")
     created = not outdir.exists()
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        summary = runner(config, outdir)
+        config = _load_config(config_path)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at the path or on it
+            raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from exc
+        summary = RUNNERS[experiment](config, outdir)
     except (ConfigError, MismatchedConfigs) as exc:
         # a rejected config must leave no artifacts behind
         if created and outdir.exists() and not any(outdir.iterdir()):
@@ -980,7 +1103,7 @@ def main(argv=None):
     except KuramotoDampingError as exc:
         payload = {
             "formatVersion": FORMAT_VERSION,
-            "experiment": args.experiment,
+            "experiment": experiment,
             "error": type(exc).__name__,
             "message": str(exc),
         }
@@ -991,8 +1114,8 @@ def main(argv=None):
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    _write_sidecar(outdir, args.experiment, config)
-    print(json.dumps({"experiment": args.experiment, **summary}, sort_keys=True))
+    _write_sidecar(outdir, experiment, config)
+    print(json.dumps({"experiment": experiment, **summary}, sort_keys=True))
     return 0
 
 

@@ -32,8 +32,6 @@ from .exceptions import InvalidPerturbation
 __all__ = [
     "FiniteNState",
     "sample_oscillators",
-    "step_rk4",
-    "order_parameter_n",
     "simulate",
 ]
 
@@ -146,8 +144,8 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
 
 
 class _Stepper:
-    """Lawson RK4 steps of z at one step size, built once per ``simulate`` or
-    ``step_rk4`` call with the tables P = e^{i omega dt/2}, Q = e^{i omega dt}
+    """Lawson RK4 steps of z at one step size, built once per ``simulate``
+    call with the tables P = e^{i omega dt/2}, Q = e^{i omega dt}
     and five work arrays.  With N(y) = (K/2)(Y - conj(Y) y^2) and Y the mean
     of y,
 
@@ -246,22 +244,6 @@ class _Stepper:
         wrapped = np.mod(new, TWO_PI)
         state.wrap_offset += float(np.sum(new - wrapped))
         state.phases = wrapped
-
-
-def step_rk4(state, dt):
-    """One Lawson RK4 step of the mean-field system; wraps phases after."""
-    simulate(state, dt, dt)
-    return state
-
-
-def order_parameter_n(state):
-    """(raw sum, normalized): sum_j e^{i theta_j} and its 1/N average.
-
-    numpy's pairwise summation keeps the reduction accurate for large N; all
-    comparisons in this package use the normalized form.
-    """
-    raw = complex(np.exp(1j * state.phases).sum())
-    return raw, raw / state.count
 
 
 def simulate(state, time_step, horizon, output_every=1):

@@ -17,10 +17,10 @@ and classical RK4 integrates only the coupling part.  With K = 0 the scheme
 reproduces the analytic rotation to roundoff, and the coupled dynamics
 converges at fourth order in the step size.  The coupling part of row k is
 k (a c_{k-1} + b c_{k+1}), plus g on row 1, with scalars a, g proportional to
-R and b to conj(R).  Each ``run`` or ``step`` call builds one stepper: the
-half- and full-step phase tables P and Q, the tables P k, Q k/3, 2 P k/3, k
-and k/3 that fold the row factor and the RK4 weights into them, and a fixed
-set of (k_max, J) work arrays, all reused by every step of that call.
+R and b to conj(R).  Each ``run`` call builds one stepper: the half- and
+full-step phase tables P and Q, the tables P k, Q k/3, 2 P k/3, k and k/3
+that fold the row factor and the RK4 weights into them, and a fixed set of
+(k_max, J) work arrays, all reused by every step of that call.
 
 Sobolev diagnostics act on the transport-frame profile p = (unwound r) * g,
 whose mode amplitudes are c_k e^{+i k omega t} g(omega); theta derivatives are
@@ -47,8 +47,6 @@ __all__ = [
     "ScatteringReport",
     "initialize",
     "order_parameter",
-    "rhs",
-    "step",
     "run",
     "sobolev_diagnostics",
     "profile_sobolev_norm",
@@ -188,22 +186,11 @@ def _coupling(y, weights, gain, epsilon, out, work):
     out[:-1] += work[:-1]
 
 
-def rhs(state):
-    """Full time derivative of the mode coefficients (transport + coupling)."""
-    k = np.arange(1, state.k_max + 1, dtype=float)[:, None]
-    deriv = np.empty_like(state.coeffs)
-    _coupling(
-        state.coeffs, state.grid.weights, 0.5 * state.coupling, state.epsilon,
-        deriv, np.empty_like(deriv),
-    )
-    return k * deriv - 1j * k * state.grid.nodes[None, :] * state.coeffs
-
-
 class _LawsonStepper:
     """Integrating-factor (Lawson) RK4 steps of one state at one step size.
 
-    Built once per ``run`` or ``step`` call.  With N = k M the coupling part of
-    dc/dt (M from ``_coupling`` at gain K dt/4, so k M_i = dt/2 k_i), the
+    Built once per ``run`` call.  With N = k M the coupling part of dc/dt
+    (M from ``_coupling`` at gain K dt/4, so k M_i = dt/2 k_i), the
     transport factors P = exp(-i k omega dt/2) and Q = exp(-i k omega dt), one
     step is
 
@@ -282,12 +269,6 @@ def _check_blowup(state):
     peak = float(np.max(np.abs(state.coeffs)))
     if not math.isfinite(peak) or peak > BLOWUP_GUARD:
         raise BlowupDetected(f"mode amplitude reached {peak:.3e} at t = {state.time:.3f}")
-
-
-def step(state, dt):
-    """Advance by one integrating-factor RK4 step (transport exact)."""
-    _LawsonStepper(state, dt).advance()
-    return state
 
 
 def stability_time_step_bound(state):

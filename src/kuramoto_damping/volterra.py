@@ -26,7 +26,7 @@ import numpy as np
 
 from .dispersion import DispersionRelation, find_unstable_root
 from .exceptions import (
-    BlowupDetected, RootNotConverged, StepSolveFailure, UnstableKernel, WindowTooNoisy
+    BlowupDetected, RootNotConverged, StepSolveFailure, WindowTooNoisy
 )
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "solve",
     "kuramoto_kernel",
     "fit_decay",
-    "empirical_stability_constant",
-    "StabilityConstantEstimate",
     "instability_witness",
 ]
 
@@ -99,11 +97,6 @@ class VolterraSolution:
     times: np.ndarray
     values: np.ndarray
     source: np.ndarray | None = None
-
-    def weighted_sup(self, n, up_to=None):
-        """max over the grid (restricted to t <= up_to) of (1+t)^n |R(t)|."""
-        mask = slice(None) if up_to is None else self.times <= up_to + 1e-12
-        return float(np.max((1.0 + self.times[mask]) ** n * np.abs(self.values[mask])))
 
 
 def _sample(func, times):
@@ -300,49 +293,6 @@ def fit_decay(solution, window=None):
             f"log-log residual {fit.residual:.3f} exceeds {_RESIDUAL_TOL}", fit=fit
         )
     return fit
-
-
-@dataclass
-class StabilityConstantEstimate:
-    """Empirical weighted-sup ratio over a family of sources."""
-
-    constant: float
-    ratios_by_horizon: dict  # horizon -> worst ratio over sources
-    per_source: list
-
-
-def empirical_stability_constant(dist, coupling, weight_order, sources, time_step, horizon):
-    """Measure sup (1+t)^n |R| / sup (1+t)^n |F| over sources and horizons.
-
-    The ratio is evaluated at T/4, T/2 and T; monotone growth beyond a factor
-    of 10 from T/4 to T raises UnstableKernel.  This is an empirical ratio
-    only; no claim is made about matching any analytic constant.
-    """
-    kernel = kuramoto_kernel(dist, coupling)
-    horizons = [horizon / 4.0, horizon / 2.0, horizon]
-    per_source = []
-    ratios = {h: 0.0 for h in horizons}
-    for source in sources:
-        sol = solve(VolterraProblem(kernel, source, time_step, horizon))
-        f_sol = VolterraSolution(times=sol.times, values=sol.source)
-        entry = {}
-        for h in horizons:
-            num = sol.weighted_sup(weight_order, up_to=h)
-            den = f_sol.weighted_sup(weight_order, up_to=h)
-            entry[h] = num / den
-            ratios[h] = max(ratios[h], entry[h])
-        per_source.append(entry)
-
-    r0, r1, r2 = (ratios[h] for h in horizons)
-    if r0 < r1 < r2 and r2 > 10.0 * r0:
-        raise UnstableKernel(
-            f"weighted-sup ratio grows {r0:.3g} -> {r1:.3g} -> {r2:.3g}; kernel is unstable"
-        )
-    return StabilityConstantEstimate(
-        constant=float(max(ratios.values())),
-        ratios_by_horizon={float(h): float(r) for h, r in ratios.items()},
-        per_source=per_source,
-    )
 
 
 def _cumulative_transform(kernel, omega0, times):

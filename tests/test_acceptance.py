@@ -29,11 +29,12 @@ from kuramoto_damping.spectral import (
 from kuramoto_damping.volterra import (
     VolterraProblem,
     VolterraSolution,
-    empirical_stability_constant,
     instability_witness,
     kuramoto_kernel,
     solve,
 )
+
+from solver_routes import empirical_stability_constant
 
 
 def _report(number, description, passed, detail=""):

@@ -1,5 +1,10 @@
 """Tests for the experiment runner CLI."""
 
+import argparse
+import contextlib
+import functools
+import io
+import itertools
 import json
 import tracemalloc
 
@@ -73,6 +78,21 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, out",
+    [(".", "out"), ("", "out"), ("c.json", "f.txt"), ("c.json", "f.txt/sub")],
+    ids=["config-is-a-directory", "config-is-empty", "out-is-a-file", "out-under-a-file"],
+)
+def test_bad_path_is_config_error_without_artifacts(tmp_path, monkeypatch, capsys, config, out):
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, "c.json", {"distribution": TWO_BUMP, "coupling": 1.0})
+    (tmp_path / "f.txt").write_text("keep")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    assert main(["stability", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize(
     "argv",
     [[], ["bogus", "--config", "c.json"], ["stability"], ["stability", "--config"],
      ["stability", "--config", "c.json", "--bogus", "1"]],
@@ -90,6 +110,125 @@ def test_options_may_precede_the_experiment(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "--config", cfg, "stability"]) == 0
     assert json.loads((out / "config.json").read_text())["experiment"] == "stability"
+
+
+@functools.cache
+def _argparse_reference():
+    """The parser ``main`` built with argparse, the reference for ``_parse_args``."""
+    parser = argparse.ArgumentParser(
+        prog="kuramoto-damping",
+        description="Experiments on damping of the incoherent state in the mean-field "
+        "oscillator ensemble",
+    )
+    parser.add_argument("experiment", choices=cli.EXPERIMENTS)
+    parser.add_argument("--config", required=True, help="experiment config JSON")
+    parser.add_argument("--out", default=None, help="output directory (default out-<experiment>)")
+    return parser
+
+
+def _parse_outcome(parse, argv):
+    """(experiment, config, out), or the exit code; with what went to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _reference_outcome(argv):
+    def parse(argv):
+        args = _argparse_reference().parse_args(argv)
+        return args.experiment, args.config, args.out
+
+    return _parse_outcome(parse, argv)
+
+
+_ARGV_TABLE = [
+    # accepted: options before or after the experiment, '=' values, prefixes, repeats
+    ["stability", "--config", "c.json"],
+    ["stability", "--config", "c.json", "--out", "o"],
+    ["--out", "o", "--config", "c.json", "stability"],
+    ["--config", "c.json", "linear", "--out", "o"],
+    ["stability", "--config=c.json", "--out=o"],
+    ["stability", "--config=", "--out="],
+    ["stability", "--out=a=b", "--config=c=d"],
+    ["stability", "--conf", "c.json", "--o", "o"],
+    ["stability", "--c=c.json", "--ou=o"],
+    ["stability", "--config", "a", "--config", "b", "--out", "x", "--o=y"],
+    # values that start with '-', and '--'
+    ["stability", "--config", "-1"],
+    ["stability", "--config", "-.5", "--out", "-"],
+    ["stability", "--config", "-x y"],
+    ["stability", "--config", "-x"],
+    ["stability", "--config", "--out"],
+    ["stability", "--config", "--", "c.json"],
+    ["--config", "c.json", "--", "stability"],
+    ["--config", "c.json", "stability", "--"],
+    ["stability", "--config", "c.json", "--"],
+    ["--config", "c.json", "--", "--out"],
+    ["--", "stability", "--config", "c.json"],
+    ["--config", "c.json", "--"],
+    # help
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-hh"],
+    ["-h=h"],
+    ["stability", "--config", "c.json", "-h"],
+    ["bogus", "-h"],
+    ["-h", "bogus"],
+    ["--bogus", "-h"],
+    ["-h", "--=x"],
+    ["-hx"],
+    ["-hhx"],
+    ["-h="],
+    ["-h x"],
+    ["--help=x"],
+    ["--help="],
+    # usage errors
+    [],
+    ["stability"],
+    ["--config", "c.json"],
+    ["--config"],
+    ["stability", "--config"],
+    ["stability", "--out", "o"],
+    ["stability", "--config", "c.json", "--out"],
+    ["stability", "linear", "--config", "c.json"],
+    ["--config", "c.json", "stability", "linear"],
+    ["bogus", "--config", "c.json"],
+    ["", "--config", "c.json"],
+    ["--config", "stability", "c.json"],
+    ["bogus", "--config"],
+    ["stability", "--config", "c.json", "--bogus", "1"],
+    ["-c", "stability", "--config", "c.json"],
+    ["stability", "--config", "c.json", "---", "-=x"],
+    ["stability", "--config", "c.json", "--=x"],
+    ["stability", "--config", "c.json", "--="],
+    ["stability", "--config", "c.json", "x y", "-1e5"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGV_TABLE, ids=" ".join)
+def test_parser_matches_argparse(argv, monkeypatch):
+    # argparse wraps its usage to the terminal; the parser prints the 80-column layout
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_outcome(cli._parse_args, argv) == _reference_outcome(argv)
+
+
+def test_parser_matches_argparse_on_every_short_argv(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    tokens = ["stability", "bogus", "", "x y", "-1", "-x", "--", "-", "--config", "--c=a",
+              "--o", "--out=", "-h", "-hh", "-hx", "--help=", "--=x", "--bogus"]
+    for size in range(4):
+        for argv in itertools.product(tokens, repeat=size):
+            assert _parse_outcome(cli._parse_args, argv) == _reference_outcome(argv), argv
+
+
+def test_option_value_of_two_dashes_is_the_string():
+    # argparse gave '--config=--' an empty list, on which main raised TypeError
+    assert cli._parse_args(["stability", "--config=--"]) == ("stability", "--", None)
 
 
 def test_invalid_json_rejected(tmp_path):
@@ -731,6 +870,31 @@ def test_linear_csv_memory_is_linear_in_the_step_count(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 8 * steps
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_order_parameter_csv_memory_does_not_follow_the_rows(tmp_path, kind):
+    # R.csv's derived columns (Im R, |R| and the weighted |R|) are built a chunk
+    # at a time: built whole, they took 2.2 MB (float R) and 1.4 MB (complex R)
+    # more at 10^5 rows than at 10^4, where the chunked write takes 2.0 MB at both
+    header = ["t", "Re(R)", "Im(R)", "abs(R)", "(1+t)^4*abs(R)"]
+    peaks = []
+    for rows in (10**4, 10**5):
+        t = 1e-3 * np.arange(rows)
+        values = np.exp(-t) * (np.cos(t) + 1j * np.sin(t) if kind is complex else 1.0)
+        cli._order_parameter_csv(tmp_path / "warm.csv", t[:300], values[:300], 4)  # the tables
+        tracemalloc.start()
+        try:
+            live, _ = tracemalloc.get_traced_memory()
+            cli._order_parameter_csv(tmp_path / "R.csv", t, values, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1] - live)
+        finally:
+            tracemalloc.stop()
+        size = np.abs(values)
+        _write_csv(tmp_path / "whole.csv", header,
+                   [t, values.real, values.imag, size, (1.0 + t) ** 4 * size])
+        assert (tmp_path / "R.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert peaks[1] - peaks[0] <= 200_000
 
 
 def _csv_reference(path, header, columns):

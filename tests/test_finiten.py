@@ -11,11 +11,11 @@ from kuramoto_damping.finiten import (
     FiniteNState,
     _Stepper,
     _van_der_corput,
-    order_parameter_n,
     sample_oscillators,
     simulate,
-    step_rk4,
 )
+
+from solver_routes import order_parameter_n, step_rk4
 
 
 def _unit(w):

@@ -1,6 +1,7 @@
 """Import graph of the package: what `import kuramoto_damping.cli` loads."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -36,9 +37,36 @@ def test_cli_import_builds_no_csv_tables():
     assert result.stdout.split() == ["0"]
 
 
+def test_cli_calls_load_no_argument_parser_or_locale(tmp_path):
+    # argparse imports gettext, and its first parser imports locale: about 2 ms
+    # of every CLI call, which reads a fixed grammar
+    configs = {
+        "stability": {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 1.0},
+        "linear": {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 1.0,
+                   "input": {"type": "poly_decay"}, "dt": 0.05, "horizon": 1.0},
+    }
+    calls = []
+    for experiment, config in configs.items():
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(config))
+        calls.append([experiment, "--config", str(path), "--out", str(tmp_path / experiment)])
+    probe = (
+        f"import sys, kuramoto_damping.cli as cli; codes = [cli.main(a) for a in {calls!r}]; "
+        "print(codes, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.splitlines()[-1] == "[0, 0]"
+
+
+_NOT_DEFERRED = {"scipy", "argparse", "gettext", "locale"}
+
+
 def test_no_scipy_import_inside_a_function():
-    # a deferred import would hide from the sys.modules check above and move its
-    # cost into the call that reaches it
+    # a deferred import would hide from the sys.modules checks above and move its
+    # cost into the call that reaches it; argparse, gettext and locale as scipy
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -51,7 +79,7 @@ def test_no_scipy_import_inside_a_function():
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
                     names = [node.module or ""]
-                found += [f"{path.name}:{node.lineno}" for n in names if n.startswith("scipy")]
+                found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] in _NOT_DEFERRED]
     assert found == []
 
 

@@ -22,15 +22,15 @@ from kuramoto_damping.spectral import (
     order_parameter,
     profile_sobolev_norm,
     recurrence_horizon,
-    rhs,
     run,
     scattering_profile,
     sobolev_diagnostics,
     stability_time_step_bound,
-    step,
     unwound_profile,
 )
 from kuramoto_damping.volterra import VolterraProblem, kuramoto_kernel, solve
+
+from solver_routes import rhs, step
 
 
 @pytest.fixture(scope="module")

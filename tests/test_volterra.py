@@ -16,7 +16,6 @@ from kuramoto_damping.volterra import (
     _block_product,
     _cumulative_transform,
     _leaf_inverse,
-    empirical_stability_constant,
     fit_decay,
     instability_witness,
     kuramoto_kernel,
@@ -24,6 +23,7 @@ from kuramoto_damping.volterra import (
 )
 
 from grid_source import mode_input_from_grid
+from solver_routes import empirical_stability_constant
 
 
 def _zeros(t):
