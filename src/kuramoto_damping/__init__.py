@@ -16,6 +16,8 @@ Modules by concern:
   diagnostics, scattering profiles, echo horizons.
 * ``finiten`` - direct integration of the N-oscillator system for
   continuum comparison.
+* ``blas`` - dot products kept below the sizes at which OpenBLAS wakes its
+  worker threads.
 * ``cli`` - config-driven experiment runner (``kuramoto-damping``).
 """
 

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
+from . import blas
 from .exceptions import ConfigError, Divergent, MassNotCovered, UnsupportedOrder
 
 __all__ = [
@@ -233,8 +234,9 @@ _W_TERMS = 40
 _W_L = math.sqrt(_W_TERMS / math.sqrt(2.0))
 # Up to _W_POWER_POINTS points p is one product with the powers Z .. Z^(N-1),
 # a handful of numpy calls; beyond that Horner's rule, one in-place pass per
-# coefficient over an array that stays in cache.
-_W_POWER_POINTS = 128
+# coefficient over an array that stays in cache.  On complex Z the product
+# keeps below blas.COMPLEX_GEMV_ENTRIES, past which it would wake BLAS's threads.
+_W_POWER_POINTS = (blas.COMPLEX_GEMV_ENTRIES - 1) // (_W_TERMS - 1)
 
 
 def _weideman_coefficients():

@@ -31,12 +31,14 @@ from .exceptions import InvalidPerturbation
 
 __all__ = [
     "FiniteNState",
+    "negative_phase_density",
     "sample_oscillators",
     "simulate",
 ]
 
 TWO_PI = 2.0 * np.pi
 _CHECK_ANGLES = 128  # equispaced angles at which a perturbed phase density must be >= 0
+_CHECK_BLOCK = 256  # frequencies checked by one inverse FFT
 
 
 @dataclass
@@ -88,6 +90,31 @@ def _theta_cdf_density(theta, mode_values, epsilon):
     return cdf, density
 
 
+def negative_phase_density(mode_values, epsilon):
+    """The frequencies at which 1/2pi + eps r(0, theta, omega) dips below zero.
+
+    ``mode_values`` maps mode k >= 1 to c_k at each frequency, and r(0) is
+    (1/pi) Re sum_k c_k e^{ik theta}.  The lower bound 1/2pi - (eps/pi) sum_k
+    |c_k| clears most frequencies at once; the others are checked at
+    ``_CHECK_ANGLES`` equispaced angles, where the density is one inverse FFT
+    of the c_k, ``_CHECK_BLOCK`` frequencies at a time.  Returns the indices of
+    the frequencies whose density is below -1e-12 at one of those angles, in
+    increasing order, and the lowest density at each.
+    """
+    amplitude = sum(np.abs(v) for v in mode_values.values())
+    suspects = np.flatnonzero(1.0 / TWO_PI - (epsilon / np.pi) * amplitude < 0.0)
+    lowest = np.empty(suspects.size)
+    for start in range(0, suspects.size, _CHECK_BLOCK):
+        rows = suspects[start : start + _CHECK_BLOCK]
+        coeffs = np.zeros((rows.size, _CHECK_ANGLES), dtype=complex)
+        for k, v in mode_values.items():
+            coeffs[:, k % _CHECK_ANGLES] += v[rows]
+        density = 1.0 / TWO_PI + (epsilon / np.pi) * np.fft.ifft(coeffs, norm="forward").real
+        lowest[start : start + rows.size] = np.min(density, axis=1)
+    bad = lowest < -1e-12
+    return suspects[bad], lowest[bad]
+
+
 def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling="quantile", seed=None):
     """Draw N oscillators with frequencies from ``dist`` and perturbed phases.
 
@@ -116,17 +143,7 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
 
     mode_values = {k: np.asarray(profile(freqs), dtype=complex) for k, profile in modes.items()}
     if epsilon != 0.0 and mode_values:
-        # Cheap lower bound 1/2pi - (eps/pi) sum |c_k|; only frequencies that
-        # might dip below zero get the exact theta-sampled check.
-        amplitude = sum(np.abs(v) for v in mode_values.values())
-        floor = 1.0 / TWO_PI - (epsilon / np.pi) * amplitude
-        suspects = np.nonzero(floor < 0.0)[0]
-        # the density at _CHECK_ANGLES equispaced angles is one inverse FFT of the c_k
-        coeffs = np.zeros((suspects.size, _CHECK_ANGLES), dtype=complex)
-        for k, v in mode_values.items():
-            coeffs[:, k % _CHECK_ANGLES] += v[suspects]
-        density = 1.0 / TWO_PI + (epsilon / np.pi) * np.fft.ifft(coeffs, norm="forward").real
-        bad = suspects[np.min(density, axis=1) < -1e-12]
+        bad, _ = negative_phase_density(mode_values, epsilon)
         if bad.size:
             raise InvalidPerturbation(f"phase density negative at frequency {freqs[bad[0]]:.4g}")
         phases = invert_monotone(

@@ -39,7 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .exceptions import BlowupDetected, GridTooCoarse, InvalidPerturbation
+from .finiten import negative_phase_density
 
 __all__ = [
     "SpectralState",
@@ -121,6 +123,13 @@ def initialize(dist, grid, k_max, epsilon, coupling, modes=None, r0=None):
             # which is bin k of the uniform-theta DFT scaled by 2pi/M
             coeffs[k - 1] = spectrum[k]
 
+    # 1/2pi + eps r(0) >= 0 at every node
+    _, lowest = negative_phase_density(dict(enumerate(coeffs, start=1)), epsilon)
+    if lowest.size:
+        raise InvalidPerturbation(
+            f"initial density dips to {np.min(lowest):.3e}; perturbation too large"
+        )
+
     state = SpectralState(
         k_max=k_max,
         grid=grid,
@@ -130,17 +139,6 @@ def initialize(dist, grid, k_max, epsilon, coupling, modes=None, r0=None):
         coupling=coupling,
         dist=dist,
     )
-
-    # Positivity of the initial density on a theta x omega sample.
-    theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-    stride = max(1, nodes.size // 256)
-    sub = slice(None, None, stride)
-    r_vals = _reconstruct(state, theta, sub)
-    rho = 1.0 / (2.0 * np.pi) + epsilon * r_vals
-    if np.min(rho) < -1e-12:
-        raise InvalidPerturbation(
-            f"initial density dips to {np.min(rho):.3e}; perturbation too large"
-        )
 
     try:
         state.initial_weighted_norm = profile_sobolev_norm(
@@ -156,18 +154,13 @@ def initialize(dist, grid, k_max, epsilon, coupling, modes=None, r0=None):
     return state
 
 
-def _reconstruct(state, theta, omega_slice=slice(None)):
-    """Real-space r(theta, omega) on a sample; conjugate modes included."""
-    c = state.coeffs[:, omega_slice]
-    k = np.arange(1, state.k_max + 1)
-    phases = np.exp(1j * np.outer(theta, k))  # (theta, k)
-    vals = phases @ c  # (theta, J)
-    return (vals + np.conj(vals)).real / (2.0 * np.pi)
-
-
 def order_parameter(state):
-    """R = sum_j w_j c_1(omega_j); the weights already carry the density."""
-    return complex(np.dot(state.grid.weights, state.coeffs[0]))
+    """R = sum_j w_j c_1(omega_j); the weights already carry the density.
+
+    A chunked dot: one over more than ``blas.DOT_CHUNK`` nodes would wake
+    BLAS's threads.
+    """
+    return complex(blas.dot(state.grid.weights, state.coeffs[0]))
 
 
 def _coupling(y, weights, gain, epsilon, out, work):
@@ -177,9 +170,10 @@ def _coupling(y, weights, gain, epsilon, out, work):
     a = eps h and b = -eps conj(h) (c_0 = 0 and the closure c_{k_max+1} = 0
     drop the missing neighbours), and row 1 also gets h; times k this is
     -i k [v+ (delta_{k,1} + eps c_{k-1}) + v- eps c_{k+1}] when gain = K/2.
-    ``work`` is scratch of y's shape.
+    ``work`` is scratch of y's shape.  R is a chunked dot, as in
+    ``order_parameter``.
     """
-    h = gain * np.dot(weights, y[0])
+    h = gain * blas.dot(weights, y[0])
     np.multiply(y[:-1], epsilon * h, out=out[1:])
     out[0] = h
     np.multiply(y[1:], -epsilon * np.conj(h), out=work[:-1])
@@ -262,9 +256,11 @@ def _check_blowup(state):
     """Raise BlowupDetected when max |c| is not finite or exceeds BLOWUP_GUARD.
 
     sum |c|^2 bounds max |c|^2, so the exact modulus is computed only when
-    that one reduction exceeds the guard squared or is not finite.
+    that one reduction exceeds the guard squared or is not finite.  The sum
+    is a chunked dot of the float view, so no grid size wakes BLAS's threads.
     """
-    if np.vdot(state.coeffs, state.coeffs).real <= BLOWUP_GUARD**2:
+    parts = state.coeffs.view(float).ravel()
+    if blas.dot(parts, parts) <= BLOWUP_GUARD**2:
         return
     peak = float(np.max(np.abs(state.coeffs)))
     if not math.isfinite(peak) or peak > BLOWUP_GUARD:

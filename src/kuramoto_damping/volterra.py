@@ -10,7 +10,8 @@ instead of the O(N^2) of one dot product per step.  Each block's FFT product is
 exponentially tilted when |R| decays, so its rounding error follows |R| down
 the tail rather than sitting at eps * max|R|.  At the bottom of the recursion
 a leaf of at most ``_LEAF`` steps is a lower-triangular Toeplitz system, solved
-by one matrix-vector product with its inverse, which is built once per solve.
+by a product with its inverse, which is built once per solve; a complex
+inverse acts by two real products, which keep BLAS's threads asleep.
 
 For the oscillator ensemble the kernel is G(t) = (K/2) ghat(t) and the source
 F(t) is the free-transport image of the initial first mode (the nonlinear
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .dispersion import DispersionRelation, find_unstable_root
 from .exceptions import (
     BlowupDetected, RootNotConverged, StepSolveFailure, WindowTooNoisy
@@ -121,7 +123,9 @@ def _tilt(x, g):
     the exact product unchanged and scale each entry's error with its size.
     The tilt is dropped (a = 0) if it would raise the error bound of the first
     entry used, e^{-a(x.size-1)} ||x e^{am}|| ||g e^{am}||, as a kernel that
-    decays more slowly than x does.
+    decays more slowly than x does.  The norms are chunked dots: the top
+    blocks of a long march pass ``blas.DOT_CHUNK``, where one dot would wake
+    BLAS's threads.
     """
     x_abs, g_abs = np.abs(x), np.abs(g)
     quarter = max(1, x.size // 4)
@@ -132,7 +136,8 @@ def _tilt(x, g):
             rate = min(np.log(head / tail) / (x.size - quarter), _MAX_TILT / g.size)
     up = np.exp(rate * np.arange(g.size))
     x_up, g_up = x_abs * up[: x.size], g_abs * up
-    if (x_up @ x_up) * (g_up @ g_up) > (x_abs @ x_abs) * (g_abs @ g_abs) * up[x.size - 1] ** 2:
+    tilted = blas.dot(x_up, x_up) * blas.dot(g_up, g_up)
+    if tilted > blas.dot(x_abs, x_abs) * blas.dot(g_abs, g_abs) * up[x.size - 1] ** 2:
         return np.ones(g.size)
     return up
 
@@ -184,11 +189,15 @@ def solve(problem):
         denom R_j - dt sum_{lo<=i<j} G_{j-i} R_i = F_j + dt history_j,
 
     solved at once as R[lo:hi] = inv[:n, :n] @ (F + dt history)[lo:hi], with
-    ``inv`` from ``_leaf_inverse``.  N steps take O(N log^2 N) work.  Against
-    the one-dot-product-per-step march the values differ by rounding only:
-    about 1e-15 max|R| in absolute terms, and, where |R| decays, a pointwise
-    relative difference that stays near rounding down the tail.  A real
-    kernel and a real source are marched in float arrays and give a float R.
+    ``inv`` from ``_leaf_inverse``.  The products are real: a complex inverse
+    acts by its real and imaginary parts on the (re, im) pairs of the right
+    side, since one complex product of ``_LEAF``^2 entries would wake BLAS's
+    threads (``blas.COMPLEX_GEMV_ENTRIES``).  N steps take O(N log^2 N)
+    work.  Against the one-dot-product-per-step march the values differ by
+    rounding only: about 1e-15 max|R| in absolute terms, and, where |R|
+    decays, a pointwise relative difference that stays near rounding down the
+    tail.  A real kernel and a real source are marched in float arrays and
+    give a float R.
 
     Raises BlowupDetected when the kernel or the source is not finite on the
     grid (for instance a growing source that overflows).
@@ -207,6 +216,7 @@ def solve(problem):
         raise StepSolveFailure(f"implicit diagonal factor 1 - dt G(0)/2 = {denom} is singular")
 
     inv = _leaf_inverse(G, dt, denom, min(_LEAF, steps))
+    inv_re, inv_im = (inv.real.copy(), inv.imag.copy()) if np.iscomplexobj(inv) else (inv, None)
     R = np.zeros_like(F)
     R[0] = F[0]
     history = 0.5 * R[0] * G  # history[j]: the part of step j's sum known so far
@@ -214,17 +224,21 @@ def solve(problem):
     def leaf(lo, hi):
         n = hi - lo
         rhs = F[lo:hi] + dt * history[lo:hi]
-        if np.iscomplexobj(inv):
-            R[lo:hi] = inv[:n, :n] @ rhs
-        elif np.iscomplexobj(rhs):
-            # a real inverse acts on the (re, im) pairs in real arithmetic
-            R.view(float).reshape(-1, 2)[lo:hi] = inv[:n, :n] @ rhs.view(float).reshape(-1, 2)
-        else:
+        if np.isrealobj(rhs):
             # a zero imaginary column keeps the product's rounding that of the
-            # (re, im) pairs above; a matrix-vector product rounds otherwise
+            # (re, im) pairs below; a matrix-vector product rounds otherwise
             pairs = np.zeros((n, 2))
             pairs[:, 0] = rhs
-            R[lo:hi] = (inv[:n, :n] @ pairs)[:, 0]
+            R[lo:hi] = (inv_re[:n, :n] @ pairs)[:, 0]
+            return
+        pairs = rhs.view(float).reshape(-1, 2)
+        out = inv_re[:n, :n] @ pairs
+        if inv_im is not None:
+            # (A + iB)(x + iy) = (Ax - By) + i(Ay + Bx)
+            turned = inv_im[:n, :n] @ pairs
+            out[:, 0] -= turned[:, 1]
+            out[:, 1] += turned[:, 0]
+        R.view(float).reshape(-1, 2)[lo:hi] = out
 
     def march(lo, hi):
         n = hi - lo

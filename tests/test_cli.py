@@ -16,6 +16,8 @@ from kuramoto_damping.cli import _CSV_CHUNK, _SMALL_CSV_ROWS, _read_csv, _write_
 from kuramoto_damping.distributions import (
     MAX_DERIVATIVE_ORDER,
     Cauchy,
+    Gaussian,
+    build_grid,
     distribution_from_config,
 )
 
@@ -350,6 +352,23 @@ def test_witness_on_stable_kernel_is_numeric_failure(tmp_path, capsys):
     assert main(["witness", "--config", cfg, "--out", str(out)]) == 3
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "RootNotConverged"
+
+
+@pytest.mark.parametrize("node", [1024, 1027])
+def test_nonlinear_rejects_a_density_dip_at_any_node(tmp_path, node):
+    # a Gaussian mode 1e-9 wide is a spike of 3 at one node of the J = 2048
+    # grid: eps |c_1| = 1.5 > 1/2, so the density dips below zero there
+    center = build_grid(Gaussian(1.0), 2048).nodes[node]
+    spike = {"mode": 1, "kind": "gaussian", "amplitude": 3.0, "width": 1e-9, "center": center}
+    config = dict(
+        _nonlinear_config(horizon=0.1, snapshots=()),
+        grid_nodes=2048,
+        epsilon=0.5,
+        initial_perturbation={"modes": [spike]},
+    )
+    out = tmp_path / "out"
+    assert main(["nonlinear", "--config", _write_config(tmp_path, "c.json", config), "--out", str(out)]) == 3
+    assert json.loads((out / "error.json").read_text())["error"] == "InvalidPerturbation"
 
 
 def _nonlinear_config(horizon=6.0, snapshots=(2.0, 4.0, 6.0)):
@@ -746,13 +765,16 @@ def test_linear_mode_source_on_narrow_two_bump(tmp_path):
     assert (out / "R.csv").exists()
 
 
-def test_linear_constant_mode_on_cauchy_decays_as_the_continuum(tmp_path):
-    # h = 1 on Cauchy(1), K = 1: R = e^{-t/2} to the march's own O(dt^2) error,
-    # which relative to R grows linearly in t.  Measured: 2.08e-5 relative at
-    # t = 20.  A grid sum at J = 2048 was off by 0.59 relative up to t = 10 and
-    # by 256 up to t = 20.
+@pytest.mark.parametrize("center", [0.0, 0.5])
+def test_linear_constant_mode_on_cauchy_decays_as_the_continuum(tmp_path, center):
+    # h = 1 on Cauchy(1) centred at mu, K = 1: R = e^{(-1/2 - i mu) t} to the
+    # march's own O(dt^2) error, which relative to R grows linearly in t.
+    # Measured: 2.08e-5 relative at t = 20 for both centres; mu = 0.5 makes
+    # the kernel complex.  A grid sum at J = 2048 was off by 0.59 relative up
+    # to t = 10 and by 256 up to t = 20 (mu = 0).
     config = dict(
         _VALID["linear"](),
+        distribution={"family": "cauchy", "delta": 1.0, "center": center},
         input={"type": "mode", "profile": {"kind": "constant"}, "grid_nodes": 2048},
         dt=0.01,
         horizon=20.0,
@@ -762,7 +784,7 @@ def test_linear_constant_mode_on_cauchy_decays_as_the_continuum(tmp_path):
     data = np.genfromtxt(out / "R.csv", delimiter=",", skip_header=1)
     t, r = data[:, 0], data[:, 1] + 1j * data[:, 2]
     assert t[-1] == 20.0
-    assert np.max(np.abs(r / np.exp(-0.5 * t) - 1.0)) <= 2.2e-5
+    assert np.max(np.abs(r / np.exp((-0.5 - 1j * center) * t) - 1.0)) <= 2.2e-5
 
 
 _CAUCHY_OFF_CENTRE = {"family": "cauchy", "delta": 0.8, "center": 0.5}

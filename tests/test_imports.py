@@ -1,4 +1,4 @@
-"""Import graph of the package: what `import kuramoto_damping.cli` loads."""
+"""What `import kuramoto_damping.cli` loads, and what a CLI call wakes."""
 
 import ast
 import json
@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kuramoto_damping
 
@@ -59,6 +61,74 @@ def test_cli_calls_load_no_argument_parser_or_locale(tmp_path):
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
     assert result.stdout.splitlines()[-1] == "[0, 0]"
+
+
+_WORKER_CPU_PROBE = """
+import os, sys, time
+import numpy as np
+import kuramoto_damping.cli as cli
+from kuramoto_damping.distributions import Gaussian
+
+def worker_cpu():
+    tick, me, total = os.sysconf("SC_CLK_TCK"), os.getpid(), 0.0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != me:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            total += (int(fields[11]) + int(fields[12])) / tick
+    return total
+
+# BLAS starts its workers spinning; wait until they sleep
+before = worker_cpu()
+for _ in range(50):
+    time.sleep(0.1)
+    before, settled = worker_cpu(), before
+    if before == settled:
+        break
+codes = [cli.main(argv) for argv in CALLS]
+Gaussian(1.0).laplace_transform(np.linspace(-3.0, 3.0, 120))
+time.sleep(0.05)
+print(codes, len(os.listdir("/proc/self/task")), worker_cpu() - before)
+"""
+
+
+def test_cli_runs_leave_the_blas_worker_threads_asleep(tmp_path):
+    # OpenBLAS threads a dot of more than 10,000 elements and a complex
+    # matrix-vector product of 4,096 or more entries.  A woken worker spun on
+    # a second CPU for 1.1 s beside a 1.5 s J = 2048 nonlinear call, and
+    # waking it after an idle spell stalled calls by up to 1 s.  These calls
+    # reach every such site: the march's dots over J and k_max J values, the
+    # tilt of a 12,000-step march's top blocks, the leaf of a complex kernel
+    # (off-centre Cauchy) and the Faddeeva series on 120 complex points
+    cauchy = {"family": "cauchy", "delta": 1.0}
+    off_centre = {"family": "cauchy", "delta": 1.0, "center": 0.5}
+    configs = [
+        ("nonlinear", {
+            "distribution": {"family": "gaussian", "sigma": 1.0}, "coupling": 1.0,
+            "epsilon": 1e-3, "k_max": 8, "grid_nodes": 2048, "dt": 0.01, "horizon": 0.2,
+            "initial_perturbation": {"modes": [{"mode": 1, "kind": "gaussian"}]},
+        }),
+        ("linear", {"distribution": cauchy, "coupling": 1.0, "input": {"type": "poly_decay"},
+                    "dt": 1e-3, "horizon": 12.0}),
+        ("linear", {"distribution": off_centre, "coupling": 1.0, "input": {"type": "poly_decay"},
+                    "dt": 0.01, "horizon": 5.0}),
+        ("witness", {"distribution": off_centre, "coupling": 4.0, "dt": 0.01, "horizon": 2.0}),
+    ]
+    calls = []
+    for i, (experiment, config) in enumerate(configs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(config))
+        calls.append([experiment, "--config", str(path), "--out", str(tmp_path / str(i))])
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", f"CALLS = {calls!r}\n{_WORKER_CPU_PROBE}"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    codes, threads, seconds = result.stdout.splitlines()[-1].rsplit(" ", 2)
+    assert codes == "[0, 0, 0, 0]"
+    if int(threads) == 1:
+        pytest.skip("the BLAS library runs no worker thread here")
+    assert float(seconds) <= 0.02
 
 
 _NOT_DEFERRED = {"scipy", "argparse", "gettext", "locale"}

@@ -98,6 +98,16 @@ def test_negative_density_rejected(gaussian_grid):
         initialize(Gaussian(1.0), gaussian_grid, 4, 0.9, 1.0, modes={1: _ones})
 
 
+@pytest.mark.parametrize("node", [1024, 1027])
+def test_density_is_checked_at_every_node(node):
+    # c_1 = 3 at one node of 2048 and eps = 0.5: the density there dips to
+    # 1/2pi - 1.5/pi = -0.318.  A check of every 8th node missed node 1027.
+    grid = build_grid(Gaussian(1.0), 2048)
+    spike = {1: lambda w: np.where(w == grid.nodes[node], 3.0, 0.0) + 0j}
+    with pytest.raises(InvalidPerturbation, match="dips to -3.183e-01"):
+        initialize(Gaussian(1.0), grid, 8, 0.5, 1.0, modes=spike)
+
+
 def test_initial_norm_reported(gaussian_grid):
     state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, modes={1: _ones})
     assert np.isfinite(state.initial_weighted_norm)

@@ -264,6 +264,22 @@ def test_leaf_inverse_is_the_dense_inverse(kernel):
     assert np.iscomplexobj(inv) == np.iscomplexobj(G)
 
 
+@pytest.mark.parametrize("steps", [_LEAF // 2 + 1, _LEAF])
+def test_complex_leaf_in_real_pairs_is_the_complex_product(steps):
+    # a march of at most _LEAF steps is one leaf: R[1:] = inv @ (F + dt G R_0 / 2)[1:].
+    # An off-centre Cauchy kernel makes inv complex; the solve applies it as
+    # its real and imaginary parts on (re, im) pairs, rounding otherwise than
+    # the complex product
+    dt, dist = 0.01, Cauchy(1.0, 0.5)
+    kernel = kuramoto_kernel(dist, 1.5)
+    sol = solve(VolterraProblem(kernel, _rotating, dt, steps * dt))
+    G, F = kernel(sol.times), _rotating(sol.times)
+    inv = _leaf_inverse(G, dt, 1.0 - 0.5 * dt * G[0], steps)
+    assert np.iscomplexobj(inv)
+    ref = inv @ (F + dt * (0.5 * F[0] * G))[1:]
+    assert np.max(np.abs(sol.values[1:] - ref)) <= 1e-15 * np.linalg.norm(ref)
+
+
 def test_block_product_is_not_tilted_past_a_slowly_decaying_kernel():
     # x decays much faster than g: tilting at x's rate would grow g by e^199
     # before the entries are scaled back, so the product must stay untilted
