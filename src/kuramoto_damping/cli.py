@@ -39,6 +39,7 @@ from .distributions import (
     bi_cauchy,
     build_grid,
     distribution_from_config,
+    finite_number,
     require_keys,
 )
 from .exceptions import BlowupDetected, ConfigError, KuramotoDampingError, MismatchedConfigs
@@ -61,30 +62,20 @@ def _integer(obj, key, context, default=None, minimum=1, maximum=None):
     return val
 
 
-def _as_float(val):
-    """A JSON number as a float; None for a boolean, a non-number or an int past float range."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return None
-    try:
-        return float(val)
-    except OverflowError:
-        return None
-
-
 def _positive(obj, key, context):
     raw = obj[key]
-    val = _as_float(raw)
+    val = finite_number(raw)
     if val is None or val <= 0:
-        raise ConfigError(f"{context}: {key} must be a positive number, got {raw!r}")
+        raise ConfigError(f"{context}: {key} must be a positive finite number, got {raw!r}")
     return val
 
 
 def _number(obj, key, context, default):
     """An optional number; a JSON boolean is rejected, not read as 0 or 1."""
     raw = obj.get(key, default)
-    val = _as_float(raw)
+    val = finite_number(raw)
     if val is None:
-        raise ConfigError(f"{context}: {key} must be a number, got {raw!r}")
+        raise ConfigError(f"{context}: {key} must be a finite number, got {raw!r}")
     return val
 
 
@@ -95,9 +86,9 @@ def _numbers(values, context):
 
 def _nonnegative(obj, key, context):
     raw = obj[key]
-    val = _as_float(raw)
+    val = finite_number(raw)
     if val is None or val < 0:
-        raise ConfigError(f"{context}: {key} must be a nonnegative number, got {raw!r}")
+        raise ConfigError(f"{context}: {key} must be a nonnegative finite number, got {raw!r}")
     return val
 
 
@@ -618,7 +609,7 @@ def _linear_source(config, dist, context):
         # still checked, with the limits a grid build puts on them
         nodes = _integer(spec, "grid_nodes", f"{context}.input", default=2048, minimum=8)
         threshold = _number(spec, "mass_threshold", f"{context}.input", 1.0 - 1e-8)
-        if _as_float(nodes) is None:
+        if finite_number(nodes) is None:
             raise ConfigError(f"{context}.input: grid_nodes is too large for a float")
         if not 0.0 < threshold < 1.0:
             raise ConfigError(f"{context}.input: mass_threshold must lie in (0, 1), got {threshold}")
@@ -650,7 +641,7 @@ def _linear_source(config, dist, context):
 def _fit_window(config, horizon):
     window = config.get("fit_window", [0.25 * horizon, 0.9 * horizon])
     pair = isinstance(window, list) and len(window) == 2
-    bounds = [_as_float(v) for v in window] if pair else [None]
+    bounds = [finite_number(v) for v in window] if pair else [None]
     if None in bounds or not bounds[0] < bounds[1]:
         raise ConfigError(f"linear: fit_window must be two numbers a < b, got {window!r}")
     return tuple(bounds)

@@ -38,6 +38,7 @@ __all__ = [
     "build_grid",
     "invert_monotone",
     "distribution_from_config",
+    "finite_number",
     "require_keys",
     "MAX_DERIVATIVE_ORDER",
 ]
@@ -749,7 +750,6 @@ class QuadratureGrid:
     mass_threshold: float
     spacing_min: float
     spacing_max: float
-    truncation_mass: float
 
     @property
     def node_count(self):
@@ -809,7 +809,6 @@ def build_grid(dist, node_count, mass_threshold=1.0 - 1e-8):
         mass_threshold=mass_threshold,
         spacing_min=float(gaps.min()),
         spacing_max=float(gaps.max()),
-        truncation_mass=float(1.0 - (dist.cdf(hi) - dist.cdf(lo))),
     )
 
 
@@ -824,15 +823,33 @@ def distribution_from_config(obj):
     family = obj.get("family")
     if family == "cauchy":
         require_keys(obj, {"family", "delta"}, {"center"}, "distribution")
-        return Cauchy(half_width=float(obj["delta"]), center=float(obj.get("center", 0.0)))
+        return Cauchy(_spec_number(obj["delta"]), _spec_number(obj.get("center", 0.0)))
     if family == "gaussian":
         require_keys(obj, {"family", "sigma"}, {"center"}, "distribution")
-        return Gaussian(std_dev=float(obj["sigma"]), center=float(obj.get("center", 0.0)))
+        return Gaussian(_spec_number(obj["sigma"]), _spec_number(obj.get("center", 0.0)))
     if family == "mixture":
         require_keys(obj, {"family", "weights", "components"}, set(), "distribution")
         comps = tuple(distribution_from_config(c) for c in obj["components"])
-        return Mixture(weights=tuple(float(w) for w in obj["weights"]), components=comps)
+        return Mixture(weights=tuple(_spec_number(w) for w in obj["weights"]), components=comps)
     raise ValueError(f"unknown distribution family: {family!r}")
+
+
+def finite_number(val):
+    """A JSON number as a float; None for a boolean, a non-number, NaN, an
+    infinity (json reads ``1e400`` as one) or an int past float range."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        return float(val) if math.isfinite(val) else None
+    except OverflowError:
+        return None
+
+
+def _spec_number(raw):
+    val = finite_number(raw)
+    if val is None:
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return val
 
 
 def require_keys(obj, required, optional, context):

@@ -56,10 +56,6 @@ class WindowTooNoisy(KuramotoDampingError):
         self.fit = fit
 
 
-class UnstableKernel(KuramotoDampingError):
-    """Weighted-sup ratios grow without bound, kernel is not stable."""
-
-
 class InvalidPerturbation(KuramotoDampingError):
     """Initial perturbation violates mass or positivity constraints."""
 

@@ -7,7 +7,8 @@ z_i = exp(i theta_i) the system is polynomial,
     dz_i/dt = i omega_i z_i + (K/2)(Z - conj(Z) z_i^2),
 
 and is marched by an integrating-factor (Lawson) RK4 step that rotates each
-z_i exactly and takes no cosine or sine.
+z_i exactly and takes no cosine or sine.  The march carries z alone; a
+``simulate`` call reads the phases off z, wrapped to [0, 2pi), when it ends.
 
 Frequencies are drawn from a frequency distribution either by seeded inverse
 CDF or by deterministic stratified quantiles omega_i = F^{-1}((i - 1/2)/N);
@@ -49,9 +50,6 @@ class FiniteNState:
     frequencies: np.ndarray
     coupling: float
     time: float = 0.0
-    # Sum of 2 pi jumps applied by wrapping; lets tests do exact mean-phase
-    # bookkeeping without changing the wrapped representation.
-    wrap_offset: float = 0.0
 
     @property
     def count(self):
@@ -163,33 +161,24 @@ def sample_oscillators(dist, count, coupling, epsilon=0.0, modes=None, sampling=
 class _Stepper:
     """Lawson RK4 steps of z at one step size, built once per ``simulate``
     call with the tables P = e^{i omega dt/2}, Q = e^{i omega dt}
-    and five work arrays.  With N(y) = (K/2)(Y - conj(Y) y^2) and Y the mean
+    and four work arrays.  With N(y) = (K/2)(Y - conj(Y) y^2) and Y the mean
     of y,
 
         k1 = N(z),  k2 = N(P (z + dt/2 k1)),  k3 = N(P z + dt/2 k2),
         k4 = N(Q z + dt P k3),  z <- Q z + dt/6 (Q k1 + 2 P (k2 + k3) + k4),
 
     then z *= 1.5 - 0.5 |z|^2, a Newton step back to |z| = 1.  Q is computed
-    directly, not as P^2, so free rotation is exact.  The unwrapped phase is
-    theta_0 + omega t plus the arg increments of e^{-i omega t} z, which turns
-    by at most about |K| dt a step: one angle every m = pi / (2 |K| dt) steps
-    keeps each increment below pi/2.  The table e^{-i omega m dt} is built in
-    the stage array when an angle is taken.
+    directly, not as P^2, so free rotation is exact.
     """
 
-    def __init__(self, state, dt, steps):
-        self.state, self.dt, self.start = state, dt, (state.phases, state.time)
+    def __init__(self, state, dt):
+        self.state, self.dt = state, dt
         self.scale = 0.25 * dt * state.coupling  # (dt/2)(K/2)
         omega = state.frequencies
         self.half = np.exp(0.5j * dt * omega)
         self.full = np.exp(1j * dt * omega)
-        turn = abs(state.coupling) * dt
-        self.every = max(1, min(steps, int(0.5 * np.pi / turn) if turn else steps))
         self.z = np.exp(1j * state.phases)
         self.mean = self.z.mean()  # Z now, and k1's mean in the next step
-        self.anchor = self.z.copy()  # z at the last angle
-        self.turned = np.zeros(omega.size)
-        self.since = 0
         self.stage, self.slope, self.total, self.middle = (np.empty_like(self.z) for _ in range(4))
 
     def _slope(self, y, mean, out):
@@ -233,34 +222,10 @@ class _Stepper:
         z.imag *= factor
         self.mean = z.mean()
         self.state.time += self.dt
-        self.since += 1
-        if self.since == self.every:
-            self._unwrap()
-
-    def _unwrap(self):
-        """Add arg(z conj(anchor) e^{-i omega t}), the turn of e^{-i omega t} z since the anchor.
-
-        t = since dt; the stage array holds the table e^{-i omega t}.
-        """
-        unturn = self.stage
-        np.multiply(-1j * (self.since * self.dt), self.state.frequencies, out=unturn)
-        np.exp(unturn, out=unturn)
-        np.conjugate(self.anchor, out=self.anchor)
-        self.anchor *= self.z
-        self.anchor *= unturn
-        self.turned += np.angle(self.anchor)
-        np.copyto(self.anchor, self.z)
-        self.since = 0
 
     def finish(self):
-        """Write the wrapped phases and the wrap offset back to the state."""
-        state, (phases, time) = self.state, self.start
-        if self.since:
-            self._unwrap()
-        new = phases + state.frequencies * (state.time - time) + self.turned
-        wrapped = np.mod(new, TWO_PI)
-        state.wrap_offset += float(np.sum(new - wrapped))
-        state.phases = wrapped
+        """Write the phases arg z, wrapped to [0, 2pi), back to the state."""
+        self.state.phases = np.mod(np.angle(self.z), TWO_PI)
 
 
 def simulate(state, time_step, horizon, output_every=1):
@@ -270,7 +235,7 @@ def simulate(state, time_step, horizon, output_every=1):
     in place to the final time.
     """
     steps = int(round(horizon / time_step))
-    stepper = _Stepper(state, time_step, steps)
+    stepper = _Stepper(state, time_step)
     times = [state.time]
     orders = [stepper.mean]
     for i in range(1, steps + 1):

@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e6
-_THETA_SAMPLES = 256  # uniform theta samples that transform a direct perturbation r0
 _REPORT_ORDER = 4  # order of the weighted Sobolev norm recorded for the initial state
 _MAX_GAP_RATIO = 10.0  # largest ratio of gaps inside one omega stencil
 # pair norms within this many eps * h_min^-(n-2) * max_i ||p(t_i)||_{H^{n-2}}
@@ -83,45 +82,28 @@ class SpectralState:
     stencils: list = field(default_factory=list)  # omega stencils of orders 1..len, on grid
 
 
-def initialize(dist, grid, k_max, epsilon, coupling, modes=None, r0=None):
-    """Build the initial state from mode profiles or a direct perturbation.
+def initialize(dist, grid, k_max, epsilon, coupling, modes):
+    """Build the initial state from mode profiles.
 
-    ``modes`` maps k >= 1 to a callable h_k(omega) with c_k(0, omega) = h_k;
-    alternatively ``r0(theta, omega)`` is transformed by uniform theta
-    quadrature (exact for band-limited perturbations).  Checks mass
-    conservation (c_0 = 0) and that 1/2pi + eps r(0) stays a density, and
-    records the discrete weighted Sobolev norm of r(0) g so experiments can
-    place themselves relative to the small-perturbation regime.
+    ``modes`` maps k >= 1 to a callable h_k(omega) with c_k(0, omega) = h_k.
+    Rejects mode 0 (mass conservation needs c_0 = 0), checks that
+    1/2pi + eps r(0) stays a density, and records the discrete weighted
+    Sobolev norm of r(0) g so experiments can place themselves relative to
+    the small-perturbation regime.
     """
     if k_max < 2:
         raise ValueError(f"k_max must be at least 2, got {k_max}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if (modes is None) == (r0 is None):
-        raise ValueError("provide exactly one of modes or r0")
+    if 0 in modes:
+        raise InvalidPerturbation("mode 0 must vanish (mass conservation per frequency)")
 
     nodes = grid.nodes
     coeffs = np.zeros((k_max, nodes.size), dtype=complex)
-    if modes is not None:
-        if 0 in modes:
-            raise InvalidPerturbation("mode 0 must vanish (mass conservation per frequency)")
-        for k, profile in modes.items():
-            if not 1 <= k <= k_max:
-                raise ValueError(f"mode {k} outside 1..{k_max}")
-            coeffs[k - 1] = np.asarray(profile(nodes), dtype=complex)
-    else:
-        theta = np.linspace(0.0, 2.0 * np.pi, _THETA_SAMPLES, endpoint=False)
-        samples = np.array([r0(th, nodes) for th in theta])  # (theta, J)
-        spectrum = np.fft.fft(samples, axis=0) * (2.0 * np.pi / _THETA_SAMPLES)
-        mean_mode = np.max(np.abs(spectrum[0]))
-        if mean_mode > 1e-10:
-            raise InvalidPerturbation(
-                f"theta average of r(0) is {mean_mode:.3e}; mass conservation needs c_0 = 0"
-            )
-        for k in range(1, k_max + 1):
-            # r = (1/2pi) sum c_k e^{ik theta}  =>  c_k = int r e^{-ik theta},
-            # which is bin k of the uniform-theta DFT scaled by 2pi/M
-            coeffs[k - 1] = spectrum[k]
+    for k, profile in modes.items():
+        if not 1 <= k <= k_max:
+            raise ValueError(f"mode {k} outside 1..{k_max}")
+        coeffs[k - 1] = np.asarray(profile(nodes), dtype=complex)
 
     # 1/2pi + eps r(0) >= 0 at every node
     _, lowest = negative_phase_density(dict(enumerate(coeffs, start=1)), epsilon)
@@ -287,7 +269,6 @@ class SimResult:
     diag_norm_low: np.ndarray  # ||p||_{H^{n-2}}
     snapshots: dict  # t -> unwound profile array (k_max, J)
     recurrence_time: float
-    weight_order: int
     grid: object
 
 
@@ -352,7 +333,6 @@ def run(
         diag_norm_low=np.array(diag[1]),
         snapshots=snapshots,
         recurrence_time=recurrence_horizon(state.grid),
-        weight_order=weight_order,
         grid=state.grid,
     )
 

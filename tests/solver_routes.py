@@ -8,17 +8,22 @@ on the solvers' own steppers:
 * ``rhs`` and ``step``: the full time derivative of the spectral modes, and
   one Lawson RK4 step of them;
 * ``step_rk4`` and ``order_parameter_n``: one step of the N-oscillator
-  system, and its order parameter summed afresh from the phases.
+  system, and its order parameter summed afresh from the phases;
+* ``phase_turns``: each oscillator's unwrapped phase change over a march.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from kuramoto_damping.exceptions import UnstableKernel
-from kuramoto_damping.finiten import simulate
+from kuramoto_damping.exceptions import KuramotoDampingError
+from kuramoto_damping.finiten import _Stepper, simulate
 from kuramoto_damping.spectral import _coupling, _LawsonStepper
 from kuramoto_damping.volterra import VolterraProblem, kuramoto_kernel, solve
+
+
+class UnstableKernel(KuramotoDampingError):
+    """Weighted-sup ratios grow without bound, kernel is not stable."""
 
 
 def weighted_sup(times, values, n, up_to):
@@ -90,6 +95,25 @@ def step_rk4(state, dt):
     """One Lawson RK4 step of the mean-field system; wraps phases after."""
     simulate(state, dt, dt)
     return state
+
+
+def phase_turns(state, dt, steps):
+    """March ``steps`` Lawson RK4 steps; each oscillator's unwrapped phase change.
+
+    The change sums, step by step, arg(z_new conj(z_old) conj(Q)) + omega dt
+    with Q = e^{i omega dt}: the coupling turns e^{-i omega t} z by about
+    |K| dt a step, far inside (-pi, pi].  The state ends at the final time.
+    """
+    stepper = _Stepper(state, dt)
+    turned = np.zeros(state.count)
+    old = stepper.z.copy()
+    for _ in range(steps):
+        stepper.advance()
+        turned += np.angle(stepper.z * np.conj(old) * np.conj(stepper.full))
+        turned += state.frequencies * dt
+        np.copyto(old, stepper.z)
+    stepper.finish()
+    return turned
 
 
 def order_parameter_n(state):

@@ -631,6 +631,26 @@ _VALID = {
         pytest.param("linear", "input", {"type": "mode", "profile": {"kind": "gaussian",
                                                                        "phase_delay": 0.5}},
                      id="linear-input-profile-phase_delay"),
+        # json reads NaN and Infinity, and 1e400 as inf; no config number may be one
+        pytest.param("stability", "coupling", np.inf, id="stability-coupling-inf"),
+        pytest.param("stability", "coupling", np.nan, id="stability-coupling-nan"),
+        pytest.param("finite-n", "epsilon", np.inf, id="finite-n-epsilon-inf"),
+        pytest.param("finite-n", "coupling", np.nan, id="finite-n-coupling-nan"),
+        # a distribution spec reads its numbers by the same rule
+        pytest.param("stability", "distribution", {"family": "cauchy", "delta": True},
+                     id="stability-distribution-delta-bool"),
+        pytest.param("stability", "distribution", {"family": "cauchy", "delta": "2"},
+                     id="stability-distribution-delta-string"),
+        pytest.param("stability", "distribution",
+                     {"family": "cauchy", "delta": 1.0, "center": "0.5"},
+                     id="stability-distribution-center-string"),
+        pytest.param("stability", "distribution", dict(TWO_BUMP, weights=["0.5", 0.5]),
+                     id="stability-distribution-weights-string"),
+        pytest.param("stability", "distribution",
+                     {"family": "cauchy", "delta": 1.0, "center": np.nan},
+                     id="stability-distribution-center-nan"),
+        pytest.param("stability", "distribution", {"family": "cauchy", "delta": np.inf},
+                     id="stability-distribution-delta-inf"),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):

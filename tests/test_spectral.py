@@ -50,28 +50,13 @@ def _gauss_profile(w):
 # initialization
 
 
-def test_cosine_mode_lands_in_first_coefficient(gaussian_grid):
-    # r(0) = (1/pi) cos(theta) h(omega) has c_1 = h and nothing else
-    def r0(theta, w):
-        return np.cos(theta) / np.pi * _gauss_profile(w)
-
-    state = initialize(Gaussian(1.0), gaussian_grid, 6, 1e-3, 1.0, r0=r0)
-    np.testing.assert_allclose(
-        state.coeffs[0], _gauss_profile(gaussian_grid.nodes), rtol=0, atol=1e-13
-    )
-    assert np.max(np.abs(state.coeffs[1:])) <= 1e-13
-
-
 def test_complex_mode_initialization_keeps_phase(gaussian_grid):
     c = 0.6 + 0.3j
-
-    def r0(theta, w):
-        return np.real(c * np.exp(1j * theta)) / np.pi * _gauss_profile(w)
-
-    state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, r0=r0)
-    np.testing.assert_allclose(
-        state.coeffs[0], c * _gauss_profile(gaussian_grid.nodes), rtol=0, atol=1e-13
+    state = initialize(
+        Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, modes={2: lambda w: c * _gauss_profile(w)}
     )
+    np.testing.assert_array_equal(state.coeffs[1], c * _gauss_profile(gaussian_grid.nodes))
+    assert not np.any(state.coeffs[[0, 2, 3]])
 
 
 def test_zero_perturbation_stays_zero(gaussian_grid):
@@ -83,11 +68,6 @@ def test_zero_perturbation_stays_zero(gaussian_grid):
 
 
 def test_mass_violating_perturbation_rejected(gaussian_grid):
-    def r0(theta, w):
-        return (0.1 + np.cos(theta)) / np.pi * np.ones_like(np.asarray(w))
-
-    with pytest.raises(InvalidPerturbation):
-        initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, r0=r0)
     with pytest.raises(InvalidPerturbation):
         initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, modes={0: _ones})
 
@@ -680,7 +660,6 @@ def test_recurrence_formula():
         mass_threshold=1.0 - 1e-8,
         spacing_min=0.01,
         spacing_max=0.01,
-        truncation_mass=0.0,
     )
     assert recurrence_horizon(fake) == pytest.approx(0.5 * 2 * np.pi / 0.01, rel=1e-12)
 

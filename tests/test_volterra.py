@@ -7,7 +7,7 @@ import pytest
 
 from kuramoto_damping.dispersion import DispersionRelation, critical_coupling, find_unstable_root
 from kuramoto_damping.distributions import Cauchy, Gaussian, bi_cauchy, build_grid
-from kuramoto_damping.exceptions import StepSolveFailure, UnstableKernel, WindowTooNoisy
+from kuramoto_damping.exceptions import StepSolveFailure, WindowTooNoisy
 from kuramoto_damping.volterra import (
     _LEAF,
     MAX_STEPS,
@@ -23,7 +23,7 @@ from kuramoto_damping.volterra import (
 )
 
 from grid_source import mode_input_from_grid
-from solver_routes import empirical_stability_constant
+from solver_routes import UnstableKernel, empirical_stability_constant
 
 
 def _zeros(t):
