@@ -84,6 +84,14 @@ def _numbers(values, context):
     return [_number({"value": v}, "value", f"{context}[{i}]", None) for i, v in enumerate(values)]
 
 
+def _path(obj, key, context):
+    """A required path, which JSON can only give as a string."""
+    raw = obj.get(key)
+    if not isinstance(raw, str):
+        raise ConfigError(f"{context}: {key} must be a path string, got {raw!r}")
+    return Path(raw)
+
+
 def _nonnegative(obj, key, context):
     raw = obj[key]
     val = finite_number(raw)
@@ -505,6 +513,8 @@ def _read_csv(path, names, context):
         raise
     except ValueError as exc:
         raise ConfigError(f"{context}: csv {path}: {exc}") from exc
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"{context}: csv {path} cannot be read: {exc.strerror}") from exc
     if data.shape[1] != len(found):
         raise ConfigError(
             f"{context}: csv {path} rows have {data.shape[1]} fields, its header {len(found)}"
@@ -615,7 +625,7 @@ def _linear_source(config, dist, context):
             raise ConfigError(f"{context}.input: mass_threshold must lie in (0, 1), got {threshold}")
         return lambda t: transform(dist, t)
     if kind == "csv":
-        path = Path(spec["path"])
+        path = _path(spec, "path", f"{context}.input")
         if not path.exists():
             raise ConfigError(f"{context}: input CSV {path} does not exist")
         data = _read_csv(path, ("t", "ReF", "ImF"), context)
@@ -839,7 +849,8 @@ def run_finite_n(config, outdir):
     if "continuum_dir" in config:
         # checked before simulating, so a mismatch leaves no artifacts
         cont_cfg, cont = _load_run(
-            config["continuum_dir"], "nonlinear", "R.csv", ("t", "ReR", "ImR"), "finite-n"
+            _path(config, "continuum_dir", "finite-n"), "nonlinear", "R.csv",
+            ("t", "ReR", "ImR"), "finite-n",
         )
         _require_matching(cont_cfg, config, "finite-n: continuum run disagrees")
     times, orders = finiten.simulate(state, dt, horizon, output_every=output_every)
@@ -858,18 +869,19 @@ def run_finite_n(config, outdir):
 
 def _load_run(run_dir, experiment, csv_name, columns, context):
     """A run's config and the named columns of one of its csv artifacts."""
-    run_dir = Path(run_dir)
     sidecar = run_dir / "config.json"
     series = run_dir / csv_name
     if not sidecar.exists() or not series.exists():
         raise ConfigError(f"{context}: {run_dir} is missing {csv_name} or config.json")
-    with open(sidecar) as fh:
-        meta = json.load(fh)
+    meta = _load_config(sidecar)
     if meta.get("experiment") != experiment:
         raise MismatchedConfigs(
             f"{context}: {run_dir} holds a {meta.get('experiment')!r} run, expected {experiment!r}"
         )
-    return meta["config"], _read_csv(series, columns, context)
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{context}: {sidecar} holds no config object")
+    return config, _read_csv(series, columns, context)
 
 
 def _require_matching(first, second, message):
@@ -905,17 +917,19 @@ def _comparison_artifacts(outdir, config, epsilon, t_fin, z, t_cont, r):
 def run_compare(config, outdir):
     require_keys(config, {"continuum_dir", "finite_n_dir"}, set(), "compare")
     cont_cfg, cont = _load_run(
-        config["continuum_dir"], "nonlinear", "R.csv", ("t", "ReR", "ImR"), "compare"
+        _path(config, "continuum_dir", "compare"), "nonlinear", "R.csv", ("t", "ReR", "ImR"),
+        "compare",
     )
     fin_cfg, fin = _load_run(
-        config["finite_n_dir"], "finite-n", "zn.csv", ("t", "ReZ", "ImZ"), "compare"
+        _path(config, "finite_n_dir", "compare"), "finite-n", "zn.csv", ("t", "ReZ", "ImZ"),
+        "compare",
     )
     _require_matching(cont_cfg, fin_cfg, "compare: runs disagree")
 
     sup = _comparison_artifacts(
         outdir,
         config,
-        float(cont_cfg["epsilon"]),
+        _number(cont_cfg, "epsilon", "compare: continuum run", None),
         fin[:, 0],
         fin[:, 1] + 1j * fin[:, 2],
         cont[:, 0],

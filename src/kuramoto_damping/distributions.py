@@ -46,7 +46,19 @@ __all__ = [
 #: Largest derivative order implemented in closed form for every family.
 MAX_DERIVATIVE_ORDER = 8
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1], bitwise as numpy's leggauss(16)
+# gives it: the positive nodes, increasing, and their weights.  leggauss makes
+# its output exactly symmetric, so the negative half is the mirror image.
+_GL_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
 
 class FrequencyDistribution:
@@ -229,8 +241,9 @@ def _hermite_probabilist(order, x):
 # Z = (L + iz) / (L - iz),
 #     w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)),
 # where p has degree N - 1 and its coefficients are one FFT of
-# exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta / 2).  N = 40 keeps the
-# relative error near 4e-14 on Im z >= 0, the only half plane it holds in.
+# exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta / 2); _W_COEFFS holds that
+# FFT's output as literals.  N = 40 keeps the relative error near 4e-14 on
+# Im z >= 0, the only half plane it holds in.
 _W_TERMS = 40
 _W_L = math.sqrt(_W_TERMS / math.sqrt(2.0))
 # Up to _W_POWER_POINTS points p is one product with the powers Z .. Z^(N-1),
@@ -240,15 +253,19 @@ _W_L = math.sqrt(_W_TERMS / math.sqrt(2.0))
 _W_POWER_POINTS = (blas.COMPLEX_GEMV_ENTRIES - 1) // (_W_TERMS - 1)
 
 
-def _weideman_coefficients():
-    """The coefficients of p, constant term first."""
-    m = 2 * _W_TERMS
-    t = _W_L * np.tan(0.5 * np.pi * np.arange(1 - m, m) / m)
-    f = np.concatenate(([0.0], np.exp(-t * t) * (_W_L**2 + t * t)))
-    return np.fft.fft(np.fft.fftshift(f)).real[1 : _W_TERMS + 1] / (2 * m)
-
-
-_W_COEFFS = _weideman_coefficients()
+# The coefficients of p, constant term first.
+_W_COEFFS = np.array([
+    2.899624509389705, 2.6160541527618597, 2.201513794878312, 1.7253830848179779,
+    1.2563815675765133, 0.8472174576593815, 0.5266528988277086, 0.2998943799615006,
+    0.15504263802479504, 0.07182361779074328, 0.02920291647124188, 0.010048186242783535,
+    0.002705405633073729, 0.000439807015986967, -3.939363145483805e-05, -5.5913092642348794e-05,
+    -1.8007447144723407e-05, -1.066013898416273e-06, 1.4835661133172014e-06, 5.912136953029057e-07,
+    1.419864237295343e-08, -6.351773483015411e-08, -1.8315616834296834e-08, 3.249746582945079e-09,
+    3.017780425551564e-09, 2.1085990731251058e-10, -3.5632350403602684e-10, -9.055138860958323e-11,
+    3.4727420938907015e-11, 1.771418567386718e-11, -2.7277735625830245e-12, -2.90771851041427e-12,
+    1.203330952919568e-13, 4.5341448909434655e-13, 1.3778224047664046e-14, -7.071088022159408e-14,
+    -5.231716366324404e-15, 1.1519170220749485e-14, 1.201674910759281e-15, -1.7356980998791865e-15,
+])
 
 
 def _weideman(den):
@@ -632,7 +649,10 @@ _GK_NODES = np.concatenate((-_KRONROD_HALF[:-1], _KRONROD_HALF[::-1]))
 _GK_WEIGHTS = np.concatenate((_KRONROD_HALF_WEIGHTS[:-1], _KRONROD_HALF_WEIGHTS[::-1]))
 # K15 - G7 as one weight vector over the 15 nodes.
 _GK_DIFFERENCE = _GK_WEIGHTS.copy()
-_GK_DIFFERENCE[1::2] -= np.polynomial.legendre.leggauss(7)[1]
+_GAUSS7_HALF_WEIGHTS = np.array([  # as leggauss(7) gives them, outermost first
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+])
+_GK_DIFFERENCE[1::2] -= np.concatenate((_GAUSS7_HALF_WEIGHTS, _GAUSS7_HALF_WEIGHTS[-2::-1]))
 # Values at -1 and +1 of the degree-14 interpolant through the Kronrod nodes.
 _GK_END_VALUES = np.array([
     [np.prod([(x - xk) / (xj - xk) for xk in _GK_NODES if xk != xj]) for x in (-1.0, 1.0)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads np.fft on first use; load it with the package instead
 
 from .distributions import invert_monotone
 from .exceptions import InvalidPerturbation

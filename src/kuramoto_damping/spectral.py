@@ -427,7 +427,7 @@ def _derivative_amplitudes(grid, profile, order, stencils=None):
     if stencils is None:
         stencils = _stencils(grid.nodes, order)
     weight = grid.bare_weights * (1.0 + grid.nodes**2)
-    amps = [np.abs(profile) ** 2 @ weight]
+    amps = [blas.matvec(np.abs(profile) ** 2, weight)]
     size = profile.shape[-1]
     deriv = np.empty(profile.shape, dtype=np.result_type(profile, float))
     term = np.empty_like(deriv)
@@ -442,7 +442,7 @@ def _derivative_amplitudes(grid, profile, order, stencils=None):
             inner += scratch
         edges = np.r_[: centred.start, centred.stop : size]
         deriv[:, edges] = (profile[:, idx[edges]] * W[:, edges].T).sum(-1)
-        amps.append(np.abs(deriv) ** 2 @ weight)
+        amps.append(blas.matvec(np.abs(deriv) ** 2, weight))
     return np.array(amps)
 
 

@@ -24,6 +24,7 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads np.fft on first use; load it with the package instead
 
 from . import blas
 from .dispersion import DispersionRelation, find_unstable_root
@@ -41,7 +42,16 @@ __all__ = [
     "instability_witness",
 ]
 
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The 8-point Gauss-Legendre rule on [-1, 1], bitwise as numpy's leggauss(8)
+# gives it, mirrored from its positive half as leggauss symmetrises its output.
+_GL8_HALF_NODES = np.array(
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]
+)
+_GL8_HALF_WEIGHTS = np.array(
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]
+)
+_GL8_NODES = np.concatenate((-_GL8_HALF_NODES[::-1], _GL8_HALF_NODES))
+_GL8_WEIGHTS = np.concatenate((_GL8_HALF_WEIGHTS[::-1], _GL8_HALF_WEIGHTS))
 _LEAF = 128  # steps solved by one matrix-vector product at the bottom of the recursion
 _MAX_TILT = 200.0  # cap on tilt rate x block length: e^200 is far from overflow
 # fit_decay leaves out |R| <= _NOISE_FLOOR and accepts RMS residuals up to _RESIDUAL_TOL.

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1107,3 +1108,78 @@ def test_compare_with_malformed_run_csv_is_config_error(tmp_path, capsys, body):
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+def _sidecar(experiment, config):
+    return json.dumps({"formatVersion": 1, "experiment": experiment, "config": config})
+
+
+def _runs_by_hand():
+    """A nonlinear run "nl" and a finite-n run "fn" in the working directory, written by hand."""
+    for experiment, name, csv_name, header in (
+        ("nonlinear", "nl", "R.csv", "t,Re(R),Im(R)"),
+        ("finite-n", "fn", "zn.csv", "t,Re(Z),Im(Z)"),
+    ):
+        run = Path(name)
+        run.mkdir()
+        (run / "config.json").write_text(_sidecar(experiment, {"epsilon": 0.5}))
+        (run / csv_name).write_text(f"{header}\n0,1,0\n1,0.5,0\n")
+
+
+_RUN_INPUTS = {
+    "compare": lambda: {"continuum_dir": "nl", "finite_n_dir": "fn"},
+    "finite-n": lambda: dict(_VALID["finite-n"](), continuum_dir="nl"),
+    "linear": _VALID["linear"],
+}
+
+
+def test_compare_of_runs_by_hand_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _runs_by_hand()
+    cfg = _write_config(tmp_path, "c.json", _RUN_INPUTS["compare"]())
+    assert main(["compare", "--config", cfg, "--out", "out"]) == 0
+
+
+@pytest.mark.parametrize(
+    "experiment, keys, files",
+    [
+        # a path must be a JSON string
+        pytest.param("compare", {"continuum_dir": 5}, {}, id="compare-continuum_dir-int"),
+        pytest.param("compare", {"continuum_dir": None}, {}, id="compare-continuum_dir-null"),
+        pytest.param("compare", {"finite_n_dir": ["fn"]}, {}, id="compare-finite_n_dir-list"),
+        pytest.param("finite-n", {"continuum_dir": 5}, {}, id="finite-n-continuum_dir-int"),
+        pytest.param("finite-n", {"continuum_dir": None}, {}, id="finite-n-continuum_dir-null"),
+        pytest.param("finite-n", {"continuum_dir": ["nl"]}, {}, id="finite-n-continuum_dir-list"),
+        pytest.param("linear", {"input": {"type": "csv"}}, {}, id="linear-input-path-missing"),
+        # an earlier run's sidecar must be a JSON object holding a config object
+        pytest.param("compare", {}, {"nl/config.json": "{not json"}, id="sidecar-not-json"),
+        pytest.param("compare", {}, {"nl/config.json": "[1, 2]"}, id="sidecar-a-list"),
+        pytest.param("compare", {}, {"fn/config.json": '{"experiment": "finite-n"}'},
+                     id="sidecar-without-config"),
+        pytest.param("compare", {}, {"nl/config.json": _sidecar("nonlinear", [1])},
+                     id="sidecar-config-a-list"),
+        pytest.param("compare", {}, {"nl/config.json": _sidecar("nonlinear", {}),
+                                     "fn/config.json": _sidecar("finite-n", {})},
+                     id="continuum-config-without-epsilon"),
+        # a directory where a file is read (None makes the path one)
+        pytest.param("compare", {}, {"nl/config.json": None}, id="sidecar-a-directory"),
+        pytest.param("finite-n", {}, {"nl/R.csv": None}, id="run-csv-a-directory"),
+        pytest.param("linear", {"input": {"type": "csv", "path": "nl"}}, {},
+                     id="linear-input-path-a-directory"),
+    ],
+)
+def test_bad_run_input_is_config_error_without_artifacts(
+    tmp_path, monkeypatch, capsys, experiment, keys, files
+):
+    monkeypatch.chdir(tmp_path)
+    _runs_by_hand()
+    for name, text in files.items():
+        if text is None:
+            Path(name).unlink()
+            Path(name).mkdir()
+        else:
+            Path(name).write_text(text)
+    cfg = _write_config(tmp_path, "c.json", {**_RUN_INPUTS[experiment](), **keys})
+    assert main([experiment, "--config", cfg, "--out", "out"]) == 2
+    assert not Path("out").exists()
+    assert capsys.readouterr().err.startswith("config error: ")

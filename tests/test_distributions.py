@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kuramoto_damping import distributions
+from kuramoto_damping import distributions, volterra
 from kuramoto_damping.dispersion import DispersionRelation, l1_sufficient_check
 from kuramoto_damping.distributions import (
     MAX_DERIVATIVE_ORDER,
@@ -491,6 +491,24 @@ def test_narrow_two_bump_grid_at_default_threshold():
 
 # ---------------------------------------------------------------------------
 # quadrature grids
+
+
+@pytest.mark.parametrize(
+    "module, name, points",
+    [(distributions, "_GL", 16), (volterra, "_GL8", 8)],
+    ids=["grid-16", "volterra-8"],
+)
+def test_gauss_legendre_literals_are_leggauss(module, name, points):
+    # written out so that no CLI run imports numpy.polynomial or calls LAPACK
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    assert getattr(module, f"{name}_NODES").tobytes() == nodes.tobytes()
+    assert getattr(module, f"{name}_WEIGHTS").tobytes() == weights.tobytes()
+
+
+def test_kronrod_error_weights_subtract_leggauss_seven():
+    difference = distributions._GK_WEIGHTS.copy()
+    difference[1::2] -= np.polynomial.legendre.leggauss(7)[1]
+    assert distributions._GK_DIFFERENCE.tobytes() == difference.tobytes()
 
 
 def test_cauchy_grid_mass_contract():

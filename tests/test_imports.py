@@ -14,6 +14,25 @@ import kuramoto_damping
 PACKAGE_DIR = Path(kuramoto_damping.__file__).parent
 
 
+def _probe(code):
+    """The last line ``code`` prints, run in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return result.stdout.splitlines()[-1]
+
+
+def _cli_calls(tmp_path, configs):
+    """argv lists running each (experiment, config) pair into its own directory."""
+    calls = []
+    for i, (experiment, config) in enumerate(configs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(config))
+        calls.append([experiment, "--config", str(path), "--out", str(tmp_path / str(i))])
+    return calls
+
+
 def test_cli_import_loads_no_heavy_scipy_subpackage():
     # any scipy import loads its array-API layer and numpy.f2py, which cost
     # about 0.35 s of a CLI call's 0.6 s start-up; scipy is a test-time oracle only
@@ -21,53 +40,89 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
         "import sys, kuramoto_damping.cli; "
         "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    )
-    assert result.stdout.split() == []
+    assert _probe(probe) == ""
 
 
 def test_cli_import_builds_no_csv_tables():
     # the csv writer's tables are built on a process's first float write, so
     # the import, which every CLI call pays, builds none
     probe = "import kuramoto_damping.cli as cli; print(cli._float_tables.cache_info().currsize)"
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    )
-    assert result.stdout.split() == ["0"]
+    assert _probe(probe) == "0"
 
 
 def test_cli_calls_load_no_argument_parser_or_locale(tmp_path):
     # argparse imports gettext, and its first parser imports locale: about 2 ms
     # of every CLI call, which reads a fixed grammar
-    configs = {
-        "stability": {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 1.0},
-        "linear": {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 1.0,
-                   "input": {"type": "poly_decay"}, "dt": 0.05, "horizon": 1.0},
-    }
-    calls = []
-    for experiment, config in configs.items():
-        path = tmp_path / f"{experiment}.json"
-        path.write_text(json.dumps(config))
-        calls.append([experiment, "--config", str(path), "--out", str(tmp_path / experiment)])
+    calls = _cli_calls(tmp_path, [
+        ("stability", {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 1.0}),
+        ("linear", {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 1.0,
+                    "input": {"type": "poly_decay"}, "dt": 0.05, "horizon": 1.0}),
+    ])
     probe = (
         f"import sys, kuramoto_damping.cli as cli; codes = [cli.main(a) for a in {calls!r}]; "
         "print(codes, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
     )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    )
-    assert result.stdout.splitlines()[-1] == "[0, 0]"
+    assert _probe(probe) == "[0, 0]"
+
+
+_NATIVE_CALLS_PROBE = """
+import sys, numpy.fft, numpy.linalg
+
+calls = []
+
+def counted(module, name):
+    func = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+    setattr(module, name, wrapper)
+
+for module in (numpy.fft, numpy.linalg):
+    for name in module.__all__:
+        if callable(getattr(module, name)) and not isinstance(getattr(module, name), type):
+            counted(module, name)
+import kuramoto_damping.cli as cli
+codes = [cli.main(argv) for argv in CALLS]
+print(codes, "numpy.polynomial" in sys.modules, calls)
+"""
+
+
+def test_cli_import_and_gaussian_stability_make_no_fft_or_lapack_call(tmp_path):
+    # the quadrature rules and the Faddeeva coefficients are literals: leggauss
+    # imports numpy.polynomial and calls LAPACK, and the coefficients were one
+    # FFT: 1.0-1.6 MB of every CLI run's peak RSS
+    calls = _cli_calls(tmp_path, [
+        ("stability", {"distribution": {"family": "gaussian", "sigma": 1.0}, "coupling": 1.0}),
+    ])
+    assert _probe(f"CALLS = {calls!r}\n{_NATIVE_CALLS_PROBE}") == "[0] False []"
+
+
+def test_src_never_names_numpy_polynomial():
+    # a module-level use would load numpy.polynomial into every CLI process
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "polynomial" and getattr(node.value, "id", None) in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name.startswith("numpy.polynomial") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").startswith("numpy.polynomial") or (
+                    node.module == "numpy" and any(a.name == "polynomial" for a in node.names)
+                )
+            else:
+                hit = False
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 _WORKER_CPU_PROBE = """
 import os, sys, time
 import numpy as np
 import kuramoto_damping.cli as cli
-from kuramoto_damping.distributions import Gaussian
+from kuramoto_damping import spectral
+from kuramoto_damping.distributions import Gaussian, build_grid
 
 def worker_cpu():
     tick, me, total = os.sysconf("SC_CLK_TCK"), os.getpid(), 0.0
@@ -78,6 +133,8 @@ def worker_cpu():
             total += (int(fields[11]) + int(fields[12])) / tick
     return total
 
+grid = build_grid(Gaussian(1.0), 65_536)
+profile = np.exp(-np.arange(1.0, 9.0)[:, None] * grid.nodes**2)
 # BLAS starts its workers spinning; wait until they sleep
 before = worker_cpu()
 for _ in range(50):
@@ -87,19 +144,21 @@ for _ in range(50):
         break
 codes = [cli.main(argv) for argv in CALLS]
 Gaussian(1.0).laplace_transform(np.linspace(-3.0, 3.0, 120))
+spectral.profile_sobolev_norm(grid, profile, 2)
 time.sleep(0.05)
 print(codes, len(os.listdir("/proc/self/task")), worker_cpu() - before)
 """
 
 
 def test_cli_runs_leave_the_blas_worker_threads_asleep(tmp_path):
-    # OpenBLAS threads a dot of more than 10,000 elements and a complex
-    # matrix-vector product of 4,096 or more entries.  A woken worker spun on
-    # a second CPU for 1.1 s beside a 1.5 s J = 2048 nonlinear call, and
-    # waking it after an idle spell stalled calls by up to 1 s.  These calls
-    # reach every such site: the march's dots over J and k_max J values, the
-    # tilt of a 12,000-step march's top blocks, the leaf of a complex kernel
-    # (off-centre Cauchy) and the Faddeeva series on 120 complex points
+    # OpenBLAS threads a dot of more than 10,000 elements, a complex
+    # matrix-vector product of 4,096 or more entries and a real one of 460,800
+    # or more.  A woken worker spun on a second CPU for 1.1 s beside a 1.5 s
+    # J = 2048 nonlinear call, and waking it after an idle spell stalled calls
+    # by up to 1 s.  These calls reach every such site: the march's dots over J
+    # and k_max J values, the tilt of a 12,000-step march's top blocks, the
+    # leaf of a complex kernel (off-centre Cauchy), the Faddeeva series on 120
+    # complex points and the Sobolev norm's (8, 65,536) products
     cauchy = {"family": "cauchy", "delta": 1.0}
     off_centre = {"family": "cauchy", "delta": 1.0, "center": 0.5}
     configs = [
@@ -114,17 +173,8 @@ def test_cli_runs_leave_the_blas_worker_threads_asleep(tmp_path):
                     "dt": 0.01, "horizon": 5.0}),
         ("witness", {"distribution": off_centre, "coupling": 4.0, "dt": 0.01, "horizon": 2.0}),
     ]
-    calls = []
-    for i, (experiment, config) in enumerate(configs):
-        path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps(config))
-        calls.append([experiment, "--config", str(path), "--out", str(tmp_path / str(i))])
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    result = subprocess.run(
-        [sys.executable, "-c", f"CALLS = {calls!r}\n{_WORKER_CPU_PROBE}"],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    codes, threads, seconds = result.stdout.splitlines()[-1].rsplit(" ", 2)
+    calls = _cli_calls(tmp_path, configs)
+    codes, threads, seconds = _probe(f"CALLS = {calls!r}\n{_WORKER_CPU_PROBE}").rsplit(" ", 2)
     assert codes == "[0, 0, 0, 0]"
     if int(threads) == 1:
         pytest.skip("the BLAS library runs no worker thread here")

@@ -19,6 +19,21 @@ def _relative_error(value, reference):
     return np.abs(value - reference) / np.abs(reference)
 
 
+def _weideman_coefficients():
+    """Weideman's coefficients of p, constant term first: one FFT of
+    exp(-t^2) (L^2 + t^2) at t = L tan(theta / 2)."""
+    n, L = distributions._W_TERMS, distributions._W_L
+    m = 2 * n
+    t = L * np.tan(0.5 * np.pi * np.arange(1 - m, m) / m)
+    f = np.concatenate(([0.0], np.exp(-t * t) * (L**2 + t * t)))
+    return np.fft.fft(np.fft.fftshift(f)).real[1 : n + 1] / (2 * m)
+
+
+def test_faddeeva_coefficients_are_weidemans_fft():
+    # written out so that no CLI run calls an FFT at import
+    assert distributions._W_COEFFS.tobytes() == _weideman_coefficients().tobytes()
+
+
 @pytest.mark.parametrize(
     "chunk", [1, distributions._W_POWER_POINTS, None], ids=["one", "few", "all"]
 )
