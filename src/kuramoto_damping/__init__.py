@@ -3,8 +3,8 @@ Kuramoto ensemble.
 
 Modules by concern:
 
-* ``distributions`` - frequency densities g(omega): values, derivatives,
-  Fourier transforms, moments, Sobolev norms, quadrature grids.
+* ``distributions`` - frequency densities g(omega): values, Fourier
+  transforms, moments, quadrature grids.
 * ``dispersion`` - stability of the incoherent state: dispersion function,
   boundary criterion, winding-number index, critical couplings, unstable
   roots.

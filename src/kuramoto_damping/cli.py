@@ -17,8 +17,8 @@ unique prefix such as ``--conf``, and the last of a repeated option wins.
 
 Exit codes: 0 success, 2 usage or config/validation error (no artifacts; a
 ``--config`` that cannot be read or an ``--out`` that cannot be made a
-directory is a config error), 3 numeric failure (diagnostic error.json
-written when possible).
+directory is a config error), 3 numeric failure or an array too large for
+memory (diagnostic error.json written when possible).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 
 from . import dispersion, finiten, spectral, volterra
 from .distributions import (
-    MAX_DERIVATIVE_ORDER,
     bi_cauchy,
     build_grid,
     distribution_from_config,
@@ -535,14 +534,20 @@ def _write_sidecar(outdir, experiment, config):
     )
 
 
-def _order_parameter_csv(path, times, values, weight_order):
+def _order_parameter_columns(times, values, weight_order):
+    """Rows lo to hi of t, Re R, Im R, |R| and (1+t)^n |R|, as a function of (lo, hi)."""
+
     def block(lo, hi):
         t, r = times[lo:hi], values[lo:hi]
         size = np.abs(r)
         return [t, r.real, r.imag, size, (1.0 + t) ** weight_order * size]
 
+    return block
+
+
+def _order_parameter_csv(path, times, values, weight_order):
     header = ["t", "Re(R)", "Im(R)", "abs(R)", f"(1+t)^{weight_order}*abs(R)"]
-    _write_csv(path, header, block, len(times))
+    _write_csv(path, header, _order_parameter_columns(times, values, weight_order), len(times))
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +770,12 @@ def run_nonlinear(config, outdir):
     epsilon = _positive(config, "epsilon", "nonlinear")
     dt = _positive(config, "dt", "nonlinear")
     horizon = _positive(config, "horizon", "nonlinear")
-    k_max = _integer(config, "k_max", "nonlinear")
+    k_max = _integer(config, "k_max", "nonlinear", minimum=2)
     nodes = _integer(config, "grid_nodes", "nonlinear")
     output_every = _integer(config, "output_every", "nonlinear", default=10)
     weight_order = _integer(
-        config, "weight_order", "nonlinear", default=4, minimum=0, maximum=MAX_DERIVATIVE_ORDER
+        config, "weight_order", "nonlinear", default=4, minimum=2,
+        maximum=spectral.MAX_WEIGHT_ORDER,
     )
 
     # run checks the step-size bound and the weight order before it marches
@@ -794,10 +800,17 @@ def run_nonlinear(config, outdir):
         )
 
     _order_parameter_csv(outdir / "R.csv", result.times, result.order_params, weight_order)
+    columns = _order_parameter_columns(result.times, result.order_params, weight_order)
+
+    def diagnostics(lo, hi):
+        t, _, _, _, weighted = columns(lo, hi)
+        return [t, weighted, result.diag_norm_over_time[lo:hi], result.diag_norm_low[lo:hi]]
+
     _write_csv(
         outdir / "diagnostics.csv",
         ["t", f"(1+t)^{weight_order}*abs(R)", f"H{weight_order}/(1+t)", f"H{weight_order - 2}"],
-        [result.times, result.weighted_abs, result.diag_norm_over_time, result.diag_norm_low],
+        diagnostics,
+        len(result.times),
     )
 
     initial_norm = state.initial_weighted_norm
@@ -832,7 +845,7 @@ def run_finite_n(config, outdir):
         "finite-n",
     )
     dist = _distribution(config["distribution"], "finite-n")
-    count = _integer(config, "oscillators", "finite-n")
+    count = _integer(config, "oscillators", "finite-n", minimum=2)
     coupling = _nonnegative(config, "coupling", "finite-n")
     epsilon = _nonnegative(config, "epsilon", "finite-n")
     dt = _positive(config, "dt", "finite-n")
@@ -1105,18 +1118,20 @@ def main(argv=None):
             outdir.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except KuramotoDampingError as exc:
+    except (KuramotoDampingError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass for an array it cannot allocate
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         payload = {
             "formatVersion": FORMAT_VERSION,
             "experiment": experiment,
-            "error": type(exc).__name__,
+            "error": name,
             "message": str(exc),
         }
         try:
             _write_json(outdir / "error.json", payload)
         except OSError:
             pass
-        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"numeric failure: {name}: {exc}", file=sys.stderr)
         return 3
 
     _write_sidecar(outdir, experiment, config)

@@ -1,9 +1,9 @@
 """Frequency densities of the oscillator ensemble.
 
-Parametric families g(omega) with exact derivatives, the Fourier transform
-ghat(t) = int g(omega) exp(-i t omega) domega, moment integrals of |ghat|,
-weighted Sobolev norms, and quadrature grids adapted to the density.  Every
-other module consumes frequency distributions through this interface.
+Parametric families g(omega) with the Fourier transform
+ghat(t) = int g(omega) exp(-i t omega) domega, moment integrals of |ghat|
+and quadrature grids adapted to the density.  Every other module consumes
+frequency distributions through this interface.
 
 Supported families: Cauchy (Lorentzian), Gaussian, and finite mixtures of
 those two.  All have exponentially decaying |ghat|, so Laplace-type integrals
@@ -12,7 +12,6 @@ over t can be truncated with an explicit tail bound.
 Conventions
 -----------
 * Fourier transform: ghat(t) = int g(omega) exp(-i t omega) domega.
-* Sobolev norm: ||g||_{H^n}^2 = sum_{k<=n} int (1+omega^2) |g^(k)(omega)|^2.
 * Grid weights w_j include the density factor g(omega_j); the bare panel
   weights are kept alongside for plain d-omega integrals.
 """
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas
-from .exceptions import ConfigError, Divergent, MassNotCovered, UnsupportedOrder
+from .exceptions import ConfigError, Divergent, MassNotCovered
 
 __all__ = [
     "FrequencyDistribution",
@@ -34,17 +33,12 @@ __all__ = [
     "QuadratureGrid",
     "bi_cauchy",
     "fourier_moment",
-    "sobolev_norm",
     "build_grid",
     "invert_monotone",
     "distribution_from_config",
     "finite_number",
     "require_keys",
-    "MAX_DERIVATIVE_ORDER",
 ]
-
-#: Largest derivative order implemented in closed form for every family.
-MAX_DERIVATIVE_ORDER = 8
 
 # The 16-point Gauss-Legendre rule on [-1, 1], bitwise as numpy's leggauss(16)
 # gives it: the positive nodes, increasing, and their weights.  leggauss makes
@@ -72,14 +66,6 @@ class FrequencyDistribution:
 
     def density(self, omega):
         """Pointwise density g(omega); accepts scalars or arrays."""
-        raise NotImplementedError
-
-    def density_derivative(self, omega, order):
-        """Exact ``order``-th derivative of g at ``omega``.
-
-        Raises UnsupportedOrder beyond MAX_DERIVATIVE_ORDER; higher orders are
-        rejected rather than silently finite-differenced.
-        """
         raise NotImplementedError
 
     def fourier_transform(self, t):
@@ -115,10 +101,6 @@ class FrequencyDistribution:
         """int_0^inf t^n |ghat(t)| dt in closed form, or None when there is none."""
         return None
 
-    def to_config(self):
-        """The JSON description that ``distribution_from_config`` reads back."""
-        raise NotImplementedError
-
     def location_hints(self):
         """(location, scale, halfspan) used to size scan windows and grids.
 
@@ -132,19 +114,6 @@ class FrequencyDistribution:
     def heavy_tailed(self):
         """True when any component has power-law density tails."""
         raise NotImplementedError
-
-    def _components(self):
-        """Flat list of (weight, elementary distribution)."""
-        return [(1.0, self)]
-
-    def _validate_order(self, order):
-        if order < 0 or int(order) != order:
-            raise UnsupportedOrder(f"derivative order must be a nonnegative integer, got {order}")
-        if order > MAX_DERIVATIVE_ORDER:
-            raise UnsupportedOrder(
-                f"derivative order {order} exceeds implemented closed forms "
-                f"(max {MAX_DERIVATIVE_ORDER})"
-            )
 
 
 def _check_time_nonnegative(t):
@@ -168,14 +137,6 @@ class Cauchy(FrequencyDistribution):
     def density(self, omega):
         x = np.asarray(omega, dtype=float) - self.center
         return self.half_width / (np.pi * (x * x + self.half_width**2))
-
-    def density_derivative(self, omega, order):
-        self._validate_order(order)
-        # Partial fractions: g = Im[(x - i*Delta)^{-1}] / pi, so every
-        # derivative is an exact complex power.
-        x = np.asarray(omega, dtype=float) - self.center
-        z = (x - 1j * self.half_width) ** (-(order + 1))
-        return ((-1.0) ** order) * math.factorial(order) / np.pi * z.imag
 
     def fourier_transform(self, t):
         t = _check_time_nonnegative(t)
@@ -214,26 +175,12 @@ class Cauchy(FrequencyDistribution):
     def abs_moment(self, n):
         return math.factorial(n) / self.half_width ** (n + 1)
 
-    def to_config(self):
-        return {"family": "cauchy", "delta": self.half_width, "center": self.center}
-
     def location_hints(self):
         return (self.center, self.half_width, 0.0)
 
     @property
     def heavy_tailed(self):
         return True
-
-
-def _hermite_probabilist(order, x):
-    """He_order(x) via the three-term recurrence."""
-    h0 = np.ones_like(x)
-    if order == 0:
-        return h0
-    h1 = x.copy()
-    for k in range(1, order):
-        h0, h1 = h1, x * h1 - k * h0
-    return h1
 
 
 # Weideman's rational series for the Faddeeva function w(z) = exp(-z^2) erfc(-iz)
@@ -402,12 +349,6 @@ class Gaussian(FrequencyDistribution):
         x = (np.asarray(omega, dtype=float) - self.center) / self.std_dev
         return np.exp(-0.5 * x * x) / (self.std_dev * math.sqrt(2.0 * np.pi))
 
-    def density_derivative(self, omega, order):
-        self._validate_order(order)
-        x = (np.asarray(omega, dtype=float) - self.center) / self.std_dev
-        he = _hermite_probabilist(order, x)
-        return ((-1.0) ** order) * he * self.density(omega) / self.std_dev**order
-
     def fourier_transform(self, t):
         t = _check_time_nonnegative(t)
         return np.exp(-0.5 * (self.std_dev * t) ** 2 - 1j * self.center * t)
@@ -445,9 +386,6 @@ class Gaussian(FrequencyDistribution):
         s = self.std_dev
         return 2.0 ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0) / s ** (n + 1)
 
-    def to_config(self):
-        return {"family": "gaussian", "sigma": self.std_dev, "center": self.center}
-
     def location_hints(self):
         return (self.center, self.std_dev, 0.0)
 
@@ -478,13 +416,6 @@ class Mixture(FrequencyDistribution):
 
     def density(self, omega):
         return sum(w * c.density(omega) for w, c in zip(self.weights, self.components))
-
-    def density_derivative(self, omega, order):
-        self._validate_order(order)
-        return sum(
-            w * c.density_derivative(omega, order)
-            for w, c in zip(self.weights, self.components)
-        )
 
     def fourier_transform(self, t):
         return sum(w * c.fourier_transform(t) for w, c in zip(self.weights, self.components))
@@ -541,13 +472,6 @@ class Mixture(FrequencyDistribution):
         csch = -2.0 * math.exp(-x) / math.expm1(-2.0 * x)
         return (delta + omega0 * csch) / (delta * delta + omega0 * omega0)
 
-    def to_config(self):
-        return {
-            "family": "mixture",
-            "weights": list(self.weights),
-            "components": [c.to_config() for c in self.components],
-        }
-
     def location_hints(self):
         centers = [c.location_hints()[0] for c in self.components]
         scales = [c.location_hints()[1] for c in self.components]
@@ -558,9 +482,6 @@ class Mixture(FrequencyDistribution):
     @property
     def heavy_tailed(self):
         return any(c.heavy_tailed for c in self.components)
-
-    def _components(self):
-        return list(zip(self.weights, self.components))
 
 
 _INVERT_MAX_STEPS = 80
@@ -597,7 +518,7 @@ def bi_cauchy(half_width, offset):
 
 
 # ---------------------------------------------------------------------------
-# Moment and norm integrals
+# Moment integrals
 
 
 def fourier_moment(dist, n):
@@ -620,15 +541,6 @@ def fourier_moment(dist, n):
         return t**n * np.abs(dist.fourier_transform(t))
 
     return _gauss_kronrod(integrand, [0.0, horizon], epsabs=1e-12, epsrel=1e-11)
-
-
-def _real_line_integral(func, dist):
-    """Adaptive integral of ``func`` over the real line, split at the bulk and the centers."""
-    loc, scale, halfspan = dist.location_hints()
-    a = abs(loc) + halfspan + 12.0 * scale
-    centers = {c.location_hints()[0] for _, c in dist._components()}
-    edges = [-np.inf, -a, *sorted(centers), a, np.inf]
-    return _gauss_kronrod(func, edges, epsabs=1e-13, epsrel=1e-11)
 
 
 # The nonnegative nodes of the 15-point Kronrod rule on [-1, 1], decreasing, and
@@ -727,29 +639,6 @@ def _gauss_kronrod(func, edges, epsabs, epsrel):
         share *= 0.5
 
 
-def sobolev_norm(dist, n):
-    """Weighted Sobolev norm ||g||_{H^n} with weight sqrt(1 + omega^2).
-
-    Uses adaptive quadrature over the whole real line: the Cauchy integrands
-    decay only like omega^-2, far too slowly for a mass-threshold grid cut.
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"Sobolev order must be a nonnegative integer, got {n}")
-    if n > MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrder(
-            f"Sobolev order {n} needs derivatives beyond the implemented closed forms"
-        )
-    total = 0.0
-    for k in range(n + 1):
-
-        def term(w, _k=k):
-            d = dist.density_derivative(w, _k)
-            return (1.0 + w * w) * d * d
-
-        total += _real_line_integral(term, dist)
-    return math.sqrt(total)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature grids
 
@@ -766,14 +655,7 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     bare_weights: np.ndarray
-    mass_covered: float
-    mass_threshold: float
-    spacing_min: float
-    spacing_max: float
-
-    @property
-    def node_count(self):
-        return self.nodes.size
+    spacing_max: float  # largest gap between neighbouring nodes
 
 
 def build_grid(dist, node_count, mass_threshold=1.0 - 1e-8):
@@ -820,16 +702,7 @@ def build_grid(dist, node_count, mass_threshold=1.0 - 1e-8):
             f"grid mass {mass} vs analytic {mass_true} misses threshold "
             f"{mass_threshold}; increase node_count"
         )
-    gaps = np.diff(nodes)
-    return QuadratureGrid(
-        nodes=nodes,
-        weights=weights,
-        bare_weights=bare,
-        mass_covered=mass,
-        mass_threshold=mass_threshold,
-        spacing_min=float(gaps.min()),
-        spacing_max=float(gaps.max()),
-    )
+    return QuadratureGrid(nodes, weights, bare, spacing_max=float(np.diff(nodes).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,6 @@ class ConfigError(KuramotoDampingError, ValueError):
     """Invalid experiment configuration (unknown key, bad type, missing field)."""
 
 
-class UnsupportedOrder(KuramotoDampingError):
-    """A derivative or norm order beyond the implemented closed forms."""
-
-
 class Divergent(KuramotoDampingError):
     """A moment or tail integral failed to converge numerically."""
 

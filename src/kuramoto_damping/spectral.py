@@ -55,9 +55,13 @@ __all__ = [
     "unwound_profile",
     "scattering_profile",
     "recurrence_horizon",
+    "MAX_WEIGHT_ORDER",
 ]
 
 BLOWUP_GUARD = 1e6
+#: Largest weight order of the Sobolev diagnostics: past it the omega stencils
+#: measure roundoff, not the profile (H^24 is about 2e34 at J = 512)
+MAX_WEIGHT_ORDER = 8
 _REPORT_ORDER = 4  # order of the weighted Sobolev norm recorded for the initial state
 _MAX_GAP_RATIO = 10.0  # largest ratio of gaps inside one omega stencil
 # pair norms within this many eps * h_min^-(n-2) * max_i ||p(t_i)||_{H^{n-2}}
@@ -264,7 +268,6 @@ class SimResult:
 
     times: np.ndarray
     order_params: np.ndarray
-    weighted_abs: np.ndarray  # (1+t)^n |R(t)|
     diag_norm_over_time: np.ndarray  # ||p||_{H^n} / (1+t)
     diag_norm_low: np.ndarray  # ||p||_{H^{n-2}}
     snapshots: dict  # t -> unwound profile array (k_max, J)
@@ -283,7 +286,7 @@ def run(
 ):
     """March the state to ``horizon`` recording output every few steps.
 
-    Enforces the step-size precondition, emits R(t), the three bootstrap
+    Enforces the step-size precondition, emits R(t), the two profile
     diagnostics at the requested weight order, and unwound-profile snapshots
     at the output times nearest to ``snapshot_times``: an output takes one
     snapshot for every requested time within half an output interval of it,
@@ -323,12 +326,9 @@ def run(
         if i % output_every == 0 or i == steps:
             record()
 
-    times = np.array(times)
-    orders = np.array(orders)
     return SimResult(
-        times=times,
-        order_params=orders,
-        weighted_abs=(1.0 + times) ** weight_order * np.abs(orders),
+        times=np.array(times),
+        order_params=np.array(orders),
         diag_norm_over_time=np.array(diag[0]),
         diag_norm_low=np.array(diag[1]),
         snapshots=snapshots,
@@ -472,7 +472,7 @@ def sobolev_diagnostics(state, order, stencils=None):
     """The two profile components of the bootstrap at the current time.
 
     Returns (||p||_{H^order} / (1+t), ||p||_{H^{order-2}}); the third,
-    (1+t)^order |R|, is ``SimResult.weighted_abs``.  Both norms share one set
+    (1+t)^order |R|, comes from ``SimResult.order_params``.  Both norms share one set
     of omega derivatives.  ``run`` passes the omega stencils for orders
     1..order, built once per run; without them they are built per call.
     """

@@ -287,16 +287,14 @@ class DecayFit:
     residual: float  # RMS of log-log residuals; never hidden
 
 
-def fit_decay(solution, window=None):
-    """Fit |R(t)| ~ A (1+t)^(-p) on ``window`` by log-log least squares.
+def fit_decay(solution, window):
+    """Fit |R(t)| ~ A (1+t)^(-p) on ``window`` = (t_a, t_b) by log-log least squares.
 
     The regressor log(1+t) matches the weighted-sup convention, so a synthetic
     (1+t)^(-p) recovers p exactly.  Raises WindowTooNoisy (carrying the fit)
     when the RMS log-log residual exceeds ``_RESIDUAL_TOL``, the contract for
     non-power-law decay.
     """
-    if window is None:
-        window = (0.25 * solution.times[-1], 0.9 * solution.times[-1])
     t_a, t_b = window
     mask = (solution.times >= t_a) & (solution.times <= t_b) & (solution.times > 0)
     mask &= np.abs(solution.values) > _NOISE_FLOOR

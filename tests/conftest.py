@@ -6,6 +6,8 @@ from scipy import integrate
 
 from kuramoto_damping.distributions import Cauchy, Gaussian, bi_cauchy
 
+from density_oracles import components
+
 
 @pytest.fixture
 def standard_cauchy():
@@ -31,7 +33,7 @@ def fourier_oracle(dist, t):
     closed forms under test.
     """
     total = 0j
-    for w, comp in dist._components():
+    for w, comp in components(dist):
         center, scale, _ = comp.location_hints()
         centered = type(comp)(scale, 0.0)
         if t == 0:

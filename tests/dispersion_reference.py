@@ -23,6 +23,8 @@ import numpy as np
 from kuramoto_damping.dispersion import _ZERO_RTOL, _ZERO_XTOL, _check_lower_half, laplace_transform
 from kuramoto_damping.exceptions import KuramotoDampingError
 
+from density_oracles import components, density_derivative
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -65,12 +67,12 @@ def hilbert_boundary_transform(dist, omega):
     omega = float(omega)
     g = dist.density
     # Core: integrand -> 2 g'(-w) + s^2 g'''(-w)/3 + ...
-    core = 2.0 * dist.density_derivative(-omega, 1) * _PV_CORE
-    core += dist.density_derivative(-omega, 3) * _PV_CORE**3 / 9.0
+    core = 2.0 * density_derivative(dist, -omega, 1) * _PV_CORE
+    core += density_derivative(dist, -omega, 3) * _PV_CORE**3 / 9.0
 
     # Feature locations of g(±s - w) in the s variable.
     features = set()
-    for _, comp in dist._components():
+    for _, comp in components(dist):
         center = comp.location_hints()[0]
         width = comp.location_hints()[1]
         base = abs(center + omega)

@@ -246,8 +246,8 @@ def test_criterion_8_linear_nonlinear_consistency():
 def test_criterion_9_nonlinear_damping(damping_run):
     start = time.perf_counter()
     res = damping_run
-    t, weighted = res.times, res.weighted_abs
-    magnitude = np.abs(res.order_params)
+    t, magnitude = res.times, np.abs(res.order_params)
+    weighted = (1.0 + t) ** 4 * magnitude
     r0 = magnitude[0]
     below = t[magnitude <= 1e-6 * r0]
     decayed = below.size > 0 and below[0] < res.recurrence_time
@@ -293,7 +293,8 @@ def test_criterion_11_small_coupling_large_perturbation():
         below = res.times[magnitude <= 1e-6 * magnitude[0]]
         decayed = below.size > 0 and below[0] < horizon
         window = res.times >= 5.0
-        ratio = float(np.max(res.weighted_abs[window]) / res.weighted_abs[window][0])
+        weighted = (1.0 + res.times[window]) ** 4 * magnitude[window]
+        ratio = float(np.max(weighted) / weighted[0])
         return decayed and ratio <= 1.10, f"ratio {ratio:.3g}"
 
     ok_small, detail_small = damping_checks(0.05, 0.01, horizon)

@@ -6,6 +6,9 @@ import functools
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,13 +17,7 @@ import pytest
 
 from kuramoto_damping import cli, spectral, volterra
 from kuramoto_damping.cli import _CSV_CHUNK, _SMALL_CSV_ROWS, _read_csv, _write_csv, main
-from kuramoto_damping.distributions import (
-    MAX_DERIVATIVE_ORDER,
-    Cauchy,
-    Gaussian,
-    build_grid,
-    distribution_from_config,
-)
+from kuramoto_damping.distributions import Cauchy, Gaussian, build_grid, distribution_from_config
 
 from conftest import fourier_oracle, profile_source_oracle
 
@@ -652,20 +649,65 @@ _VALID = {
                      id="stability-distribution-center-nan"),
         pytest.param("stability", "distribution", {"family": "cauchy", "delta": np.inf},
                      id="stability-distribution-delta-inf"),
+        # an integer key's range is the one the solver needs (see _RANGE_MESSAGES)
+        ("nonlinear", "weight_order", 0),
     ],
 )
-def test_invalid_value_is_config_error_without_artifacts(tmp_path, capsys, experiment, key, value):
+def test_invalid_value_is_config_error_without_artifacts(
+    tmp_path, capsys, request, experiment, key, value
+):
     config = _VALID[experiment]()
     config[key] = value
     out = tmp_path / "out"
     cfg = _write_config(tmp_path, "c.json", config)
     assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert _RANGE_MESSAGES.get(request.node.callspec.id, "") in err
+
+
+# Each integer key's range check states the least value the solver can run
+# with, and rejects it before the grid build: the diagnostics need order >= 2,
+# the mode closure k_max >= 2 and the sampler two oscillators.
+_RANGE_MESSAGES = {
+    "nonlinear-weight_order-0": "nonlinear: weight_order must be an integer in [2, 8], got 0",
+    "nonlinear-weight_order-1": "nonlinear: weight_order must be an integer in [2, 8], got 1",
+    "nonlinear-weight_order-above-max": "nonlinear: weight_order must be an integer in [2, 8], got 9",
+    "nonlinear-k_max-1": "nonlinear: k_max must be an integer >= 2, got 1",
+    "finite-n-oscillators-1": "finite-n: oscillators must be an integer >= 2, got 1",
+}
+
+
+_CAPPED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
+from kuramoto_damping.cli import main
+sys.exit(main(ARGV))
+"""
+
+
+@pytest.mark.parametrize("experiment, key", [("finite-n", "oscillators"), ("nonlinear", "grid_nodes")])
+def test_array_too_large_for_memory_is_a_numeric_failure(tmp_path, experiment, key):
+    # under a 1 GiB address space the first array of 10^10 entries cannot be
+    # allocated, so nothing is touched; numpy's MemoryError is a numeric
+    # failure like any other, not a traceback with an empty output directory
+    config = dict(_VALID[experiment](), **{key: 10**10})
+    out = tmp_path / "out"
+    argv = [experiment, "--config", _write_config(tmp_path, "c.json", config), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", f"CAP = {2**30}\nARGV = {argv!r}\n{_CAPPED_RUN}"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "numeric failure: MemoryError" in result.stderr
+    assert [path.name for path in out.iterdir()] == ["error.json"]
+    assert json.loads((out / "error.json").read_text())["error"] == "MemoryError"
 
 
 @pytest.mark.parametrize(
-    "experiment, weight_order", [("linear", 1000), ("nonlinear", MAX_DERIVATIVE_ORDER)]
+    "experiment, weight_order", [("linear", 1000), ("nonlinear", spectral.MAX_WEIGHT_ORDER)]
 )
 def test_weight_order_maximum_is_accepted(tmp_path, experiment, weight_order):
     config = dict(_VALID[experiment](), weight_order=weight_order)

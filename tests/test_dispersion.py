@@ -542,11 +542,6 @@ class _Lorentzian(FrequencyDistribution):
         x = np.asarray(omega, dtype=float)
         return self.delta / (np.pi * (x * x + self.delta**2))
 
-    def density_derivative(self, omega, order):
-        self._validate_order(order)
-        z = (np.asarray(omega, dtype=float) - 1j * self.delta) ** (-(order + 1))
-        return (-1.0) ** order * math.factorial(order) / np.pi * z.imag
-
     def fourier_transform(self, t):
         return np.exp(-self.delta * np.asarray(t, dtype=float)) + 0j
 

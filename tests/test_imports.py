@@ -230,3 +230,56 @@ def test_no_module_but_distributions_knows_the_families():
                 hits = []
             found += [f"{path.name}:{node.lineno}: {hit}" for hit in hits]
     assert found == []
+
+
+def _mentions(node):
+    """The identifiers and attribute names that a node's code mentions."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _package_definitions():
+    """(label, name, mentions) of every function, class and method of the
+    package, and the names mentioned by the code that runs unasked.
+
+    That code is each module's own statements, each class's bases,
+    decorators and body statements, and every dunder method: it runs on
+    import, on construction or through an operator, without being named.
+    """
+    definitions, roots = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                definitions.append((f"{path.stem}.{node.name}", node.name, _mentions(node)))
+            elif isinstance(node, ast.ClassDef):
+                definitions.append((f"{path.stem}.{node.name}", node.name, set()))
+                roots += node.bases + node.decorator_list
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        label = f"{path.stem}.{node.name}.{item.name}"
+                        definitions.append((label, item.name, _mentions(item)))
+                    else:
+                        roots.append(item)
+            else:
+                roots.append(node)
+    return definitions, set().union(*map(_mentions, roots))
+
+
+def test_every_src_definition_is_reachable_from_the_cli():
+    # name-level reachability from cli.main: a definition is reached once a
+    # reached one mentions its name.  One that no CLI run can name is
+    # test-only code, which belongs under tests/ and costs every CLI process
+    # its compile
+    definitions, reached = _package_definitions()
+    reached.add("main")
+    size = 0
+    while size < len(reached):
+        size = len(reached)
+        for _, name, mentions in definitions:
+            if name in reached:
+                reached |= mentions
+    unreached = [label for label, name, _ in definitions if name not in reached]
+    assert sorted({label.rsplit(".", 1)[1] for label in unreached}) == [], unreached

@@ -14,9 +14,10 @@ import pytest
 from scipy import integrate
 
 from kuramoto_damping import spectral
-from kuramoto_damping.distributions import MAX_DERIVATIVE_ORDER, Cauchy, Gaussian, build_grid
+from kuramoto_damping.distributions import Cauchy, Gaussian, build_grid
 from kuramoto_damping.exceptions import BlowupDetected, GridTooCoarse, InvalidPerturbation
 from kuramoto_damping.spectral import (
+    MAX_WEIGHT_ORDER,
     SpectralState,
     initialize,
     order_parameter,
@@ -30,6 +31,7 @@ from kuramoto_damping.spectral import (
 )
 from kuramoto_damping.volterra import VolterraProblem, kuramoto_kernel, solve
 
+from density_oracles import density_derivative
 from solver_routes import rhs, step
 
 
@@ -100,7 +102,7 @@ def test_initial_norm_reported(gaussian_grid):
 
 def test_order_parameter_constant_mode_gives_mass(gaussian_grid):
     state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, modes={1: _ones})
-    assert order_parameter(state) == pytest.approx(gaussian_grid.mass_covered, abs=1e-12)
+    assert order_parameter(state) == pytest.approx(gaussian_grid.weights.sum(), abs=1e-12)
 
 
 def test_order_parameter_phase_mode_gives_transform(gaussian_grid):
@@ -406,7 +408,7 @@ def test_profile_norm_derivatives_match_exact_density_derivatives():
     dist = Gaussian(1.0)
     amps = [
         integrate.quad(
-            lambda w: (1 + w * w) * dist.density_derivative(w, b) ** 2,
+            lambda w: (1 + w * w) * density_derivative(dist, w, b) ** 2,
             -np.inf, np.inf, epsabs=0, epsrel=1e-13, limit=200,
         )[0]
         for b in range(5)
@@ -467,7 +469,8 @@ def test_diagnostics_bounded_in_stable_run(gaussian_grid):
     state = initialize(Gaussian(1.0), gaussian_grid, 8, 1e-3, 1.0, modes={1: _ones})
     res = run(state, 0.01, 40.0, output_every=50, weight_order=4)
     late = res.times >= 30.0
-    assert np.max(res.weighted_abs[late]) < np.max(res.weighted_abs)
+    weighted = (1.0 + res.times) ** 4 * np.abs(res.order_params)
+    assert np.max(weighted[late]) < np.max(weighted)
     assert np.max(res.diag_norm_over_time[late]) < np.max(res.diag_norm_over_time)
     tail = res.diag_norm_low[late]
     assert np.max(tail) - np.min(tail) <= 0.05 * np.max(tail)
@@ -487,7 +490,7 @@ def _edge_and_full_profiles(size, rows=3, seed=0):
     rng = np.random.default_rng(seed)
     full = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
     edges = full.copy()
-    edges[:, MAX_DERIVATIVE_ORDER + 3 : -(MAX_DERIVATIVE_ORDER + 3)] = 0.0
+    edges[:, MAX_WEIGHT_ORDER + 3 : -(MAX_WEIGHT_ORDER + 3)] = 0.0
     return full, edges
 
 
@@ -500,8 +503,8 @@ def test_slice_stencils_match_gather_formula(dist, nodes, mass):
     # the centred rows apply each stencil by one slice per offset; the
     # profile that vanishes away from the ends isolates the edge rows
     grid = build_grid(dist, nodes, mass)
-    for profile in _edge_and_full_profiles(grid.node_count):
-        for order in range(1, MAX_DERIVATIVE_ORDER + 1):
+    for profile in _edge_and_full_profiles(grid.nodes.size):
+        for order in range(1, MAX_WEIGHT_ORDER + 1):
             ref = _gathered_amplitudes(grid, profile, order)
             amps = spectral._derivative_amplitudes(grid, profile, order)
             assert amps.shape == ref.shape
@@ -509,7 +512,7 @@ def test_slice_stencils_match_gather_formula(dist, nodes, mass):
 
 
 @pytest.mark.parametrize("extra", [0, 1, 2, 5])
-@pytest.mark.parametrize("order", range(1, MAX_DERIVATIVE_ORDER + 1))
+@pytest.mark.parametrize("order", range(1, MAX_WEIGHT_ORDER + 1))
 def test_slice_stencils_on_the_smallest_grids(order, extra):
     # J = order + 3 is the smallest grid a stencil of this order allows: one
     # centred row, every other row at an edge
@@ -527,14 +530,14 @@ def test_heavy_tail_grid_too_coarse_for_derivatives():
     # tail panels of a heavy-tailed grid grow too fast for the wide stencils
     # of fourth derivatives
     grid = build_grid(Cauchy(1.0), 512, 1.0 - 1e-6)
-    profile = np.ones((2, grid.node_count), dtype=complex)
+    profile = np.ones((2, grid.nodes.size), dtype=complex)
     with pytest.raises(GridTooCoarse):
         profile_sobolev_norm(grid, profile, 4)
 
 
 def test_grid_smaller_than_stencil_too_coarse():
     grid = build_grid(Gaussian(1.0), 16, 0.9)  # one panel: 16 nodes
-    profile = np.ones((1, grid.node_count), dtype=complex)
+    profile = np.ones((1, grid.nodes.size), dtype=complex)
     with pytest.raises(GridTooCoarse):
         profile_sobolev_norm(grid, profile, 14)  # a 17-point stencil
 
@@ -577,7 +580,7 @@ def test_scattering_not_converged_when_unstable(gaussian_grid):
     assert rep.verdict == "NotConverged"
     # at order 8 on 512 nodes the roundoff floor, 1e3 eps h_min^-6 times the
     # snapshots' norm, is 65 times that norm: it must not call the rise roundoff
-    rep = scattering_profile(res, MAX_DERIVATIVE_ORDER)
+    rep = scattering_profile(res, MAX_WEIGHT_ORDER)
     assert rep.pairwise_norms[1] > rep.pairwise_norms[0]
     assert rep.verdict == "NotConverged"
 
@@ -656,9 +659,6 @@ def test_recurrence_formula():
         nodes=np.arange(0, 1, 0.01),
         weights=np.ones(100),
         bare_weights=np.ones(100),
-        mass_covered=1.0,
-        mass_threshold=1.0 - 1e-8,
-        spacing_min=0.01,
         spacing_max=0.01,
     )
     assert recurrence_horizon(fake) == pytest.approx(0.5 * 2 * np.pi / 0.01, rel=1e-12)
