@@ -41,7 +41,7 @@ from .distributions import (
     finite_number,
     require_keys,
 )
-from .exceptions import BlowupDetected, ConfigError, KuramotoDampingError, MismatchedConfigs
+from .exceptions import BlowupDetected, ConfigError, KuramotoDampingError
 
 FORMAT_VERSION = 1
 
@@ -814,14 +814,15 @@ def run_nonlinear(config, outdir):
     )
 
     initial_norm = state.initial_weighted_norm
+    recurrence_time = spectral.recurrence_horizon(state.grid)
     scattering = {
         "formatVersion": FORMAT_VERSION,
         "config": config,
-        "recurrenceTime": result.recurrence_time,
+        "recurrenceTime": recurrence_time,
         "initialWeightedNorm": initial_norm if np.isfinite(initial_norm) else None,
     }
     if len(result.snapshots) >= 3:
-        report = spectral.scattering_profile(result, weight_order, state.stencils)
+        report = spectral.scattering_profile(state, result, weight_order)
         scattering.update(
             {
                 "snapshotTimes": report.snapshot_times,
@@ -833,7 +834,7 @@ def run_nonlinear(config, outdir):
     else:
         scattering.update({"verdict": "NotEvaluated", "converged": None})
     _write_json(outdir / "scattering.json", scattering)
-    return {"recurrenceTime": result.recurrence_time}
+    return {"recurrenceTime": recurrence_time}
 
 
 def run_finite_n(config, outdir):
@@ -888,7 +889,7 @@ def _load_run(run_dir, experiment, csv_name, columns, context):
         raise ConfigError(f"{context}: {run_dir} is missing {csv_name} or config.json")
     meta = _load_config(sidecar)
     if meta.get("experiment") != experiment:
-        raise MismatchedConfigs(
+        raise ConfigError(
             f"{context}: {run_dir} holds a {meta.get('experiment')!r} run, expected {experiment!r}"
         )
     config = meta.get("config")
@@ -898,10 +899,10 @@ def _load_run(run_dir, experiment, csv_name, columns, context):
 
 
 def _require_matching(first, second, message):
-    """Raise MismatchedConfigs unless two run configs share the compared keys."""
+    """Raise ConfigError unless two run configs share the compared keys."""
     for key in ("distribution", "coupling", "epsilon", "horizon"):
         if first.get(key) != second.get(key):
-            raise MismatchedConfigs(
+            raise ConfigError(
                 f"{message} on {key}: {first.get(key)!r} vs {second.get(key)!r}"
             )
 
@@ -1112,7 +1113,7 @@ def main(argv=None):
         except OSError as exc:  # a file at the path or on it
             raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from exc
         summary = RUNNERS[experiment](config, outdir)
-    except (ConfigError, MismatchedConfigs) as exc:
+    except ConfigError as exc:
         # a rejected config must leave no artifacts behind
         if created and outdir.exists() and not any(outdir.iterdir()):
             outdir.rmdir()

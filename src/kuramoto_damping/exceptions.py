@@ -64,7 +64,3 @@ class BlowupDetected(KuramotoDampingError):
 
 class GridTooCoarse(KuramotoDampingError):
     """Finite-difference stencil spans panels with too large a gap ratio."""
-
-
-class MismatchedConfigs(KuramotoDampingError):
-    """Two runs being compared were produced with incompatible configs."""

@@ -33,6 +33,7 @@ from .exceptions import InvalidPerturbation
 
 __all__ = [
     "FiniteNState",
+    "march",
     "negative_phase_density",
     "sample_oscillators",
     "simulate",
@@ -229,20 +230,32 @@ class _Stepper:
         self.state.phases = np.mod(np.angle(self.z), TWO_PI)
 
 
+def march(stepper, steps, output_every, record):
+    """Call ``record()``, then ``stepper.advance()`` ``steps`` times, calling
+    ``record()`` after every ``output_every``-th step and after the last.
+
+    The one output cadence of ``simulate`` and ``spectral.run``.
+    """
+    record()
+    for i in range(1, steps + 1):
+        stepper.advance()
+        if i % output_every == 0 or i == steps:
+            record()
+
+
 def simulate(state, time_step, horizon, output_every=1):
     """March the system, recording the normalized order parameter.
 
     Returns (times, normalized order parameters) arrays; the state is mutated
     in place to the final time.
     """
-    steps = int(round(horizon / time_step))
     stepper = _Stepper(state, time_step)
-    times = [state.time]
-    orders = [stepper.mean]
-    for i in range(1, steps + 1):
-        stepper.advance()
-        if i % output_every == 0 or i == steps:
-            times.append(state.time)
-            orders.append(stepper.mean)
+    times, orders = [], []
+
+    def record():
+        times.append(state.time)
+        orders.append(stepper.mean)
+
+    march(stepper, int(round(horizon / time_step)), output_every, record)
     stepper.finish()
     return np.array(times), np.array(orders)

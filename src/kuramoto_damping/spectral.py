@@ -27,9 +27,9 @@ whose mode amplitudes are c_k e^{+i k omega t} g(omega); theta derivatives are
 exact (i k)^a factors, omega derivatives use second-order finite differences
 on the nonuniform grid, applied by one slice per stencil offset.  The omega
 stencils live in one list on the state, grown by order as ``initialize``
-(orders 1..4), ``run`` (1..weight order) and ``scattering_profile`` (when
-handed the list) need them, so each order is built once per state.  Nothing
-is cached in the module.
+(orders 1..4), ``run`` (1..weight order) and ``scattering_profile`` need
+them, so each order is built once per state.  Nothing is cached in the
+module.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import blas
 from .exceptions import BlowupDetected, GridTooCoarse, InvalidPerturbation
-from .finiten import negative_phase_density
+from .finiten import march, negative_phase_density
 
 __all__ = [
     "SpectralState",
@@ -271,35 +271,23 @@ class SimResult:
     diag_norm_over_time: np.ndarray  # ||p||_{H^n} / (1+t)
     diag_norm_low: np.ndarray  # ||p||_{H^{n-2}}
     snapshots: dict  # t -> unwound profile array (k_max, J)
-    recurrence_time: float
-    grid: object
 
 
-def run(
-    state,
-    time_step,
-    horizon,
-    output_every=1,
-    weight_order=4,
-    snapshot_times=(),
-    collect_diagnostics=True,
-):
+def run(state, time_step, horizon, output_every=1, weight_order=4, snapshot_times=()):
     """March the state to ``horizon`` recording output every few steps.
 
     Enforces the step-size precondition, emits R(t), the two profile
     diagnostics at the requested weight order, and unwound-profile snapshots
     at the output times nearest to ``snapshot_times``: an output takes one
     snapshot for every requested time within half an output interval of it,
-    and a requested time that no output matched is dropped once passed.
+    and a requested time that no output matched is dropped once passed.  The
+    outputs follow the cadence of ``finiten.march``.
     """
     bound = stability_time_step_bound(state)
     if time_step > bound * (1.0 + 1e-12):
         raise ValueError(f"time_step {time_step} exceeds stability bound {bound:.4g}")
-    steps = int(round(horizon / time_step))
     stepper = _LawsonStepper(state, time_step)
-    stencils = None
-    if collect_diagnostics:
-        stencils = _stencils(state.grid.nodes, weight_order, state.stencils)
+    stencils = _stencils(state.grid.nodes, weight_order, state.stencils)
 
     wanted = [float(t) for t in snapshot_times]
     reach = 0.5 * time_step * output_every
@@ -312,28 +300,20 @@ def run(
         R = order_parameter(state)
         times.append(t)
         orders.append(R)
-        if collect_diagnostics:
-            over, low = sobolev_diagnostics(state, weight_order, stencils)
-            diag[0].append(over)
-            diag[1].append(low)
+        over, low = sobolev_diagnostics(state, weight_order, stencils)
+        diag[0].append(over)
+        diag[1].append(low)
         if any(abs(t - w) <= reach for w in wanted):
             snapshots[t] = unwound_profile(state)
         wanted[:] = [w for w in wanted if w > t + reach]
 
-    record()
-    for i in range(1, steps + 1):
-        stepper.advance()
-        if i % output_every == 0 or i == steps:
-            record()
-
+    march(stepper, int(round(horizon / time_step)), output_every, record)
     return SimResult(
         times=np.array(times),
         order_params=np.array(orders),
         diag_norm_over_time=np.array(diag[0]),
         diag_norm_low=np.array(diag[1]),
         snapshots=snapshots,
-        recurrence_time=recurrence_horizon(state.grid),
-        grid=state.grid,
     )
 
 
@@ -497,7 +477,7 @@ class ScatteringReport:
     verdict: str  # "Converged" | "NotConverged"
 
 
-def scattering_profile(result, order=4, stencils=None):
+def scattering_profile(state, result, order=4):
     """Cauchy-sequence check on the unwound profile across late snapshots.
 
     The verdict is Converged when each pairwise norm is below the one before
@@ -507,20 +487,21 @@ def scattering_profile(result, order=4, stencils=None):
     ``order``: the omega stencils amplify coefficient roundoff by about
     h^-(n-2), h_min the smallest gap of the grid.  Where that factor exceeds
     ``_ROUNDOFF_LIMIT`` (fine grids at high order) the floor cannot tell
-    roundoff from a real rise, and every rise counts.  ``stencils`` is a
-    list of omega stencils on the result's grid, as ``SpectralState.stencils``,
-    grown to the orders needed.
+    roundoff from a real rise, and every rise counts.  ``result`` is a run
+    of ``state``: the grid is the state's, and the omega stencils come from
+    ``state.stencils``, grown to the orders needed.
     """
     if len(result.snapshots) < 3:
         raise ValueError("scattering check needs at least 3 snapshots")
+    grid = state.grid
     times = sorted(result.snapshots)
-    stencils = _stencils(result.grid.nodes, order - 2, stencils)
+    stencils = _stencils(grid.nodes, order - 2, state.stencils)
     pair_norms = []
     for t0, t1 in zip(times[:-1], times[1:]):
         diff = result.snapshots[t1] - result.snapshots[t0]
-        pair_norms.append(profile_sobolev_norm(result.grid, diff, order - 2, stencils))
+        pair_norms.append(profile_sobolev_norm(grid, diff, order - 2, stencils))
     rising = [b for a, b in zip(pair_norms[:-1], pair_norms[1:]) if b >= a]
-    converged = not rising or max(rising) <= _roundoff_floor(result, order - 2, stencils)
+    converged = not rising or max(rising) <= _roundoff_floor(grid, result, order - 2, stencils)
     return ScatteringReport(
         snapshot_times=[float(t) for t in times],
         pairwise_norms=[float(v) for v in pair_norms],
@@ -529,18 +510,16 @@ def scattering_profile(result, order=4, stencils=None):
     )
 
 
-def _roundoff_floor(result, order, stencils):
+def _roundoff_floor(grid, result, order, stencils):
     """The largest H^order norm of a snapshot difference that is roundoff.
 
     Zero when the floor would exceed ``_ROUNDOFF_LIMIT`` of the snapshots' norm.
     """
-    gap = np.min(np.diff(result.grid.nodes))
+    gap = np.min(np.diff(grid.nodes))
     factor = _ROUNDOFF_FACTOR * np.finfo(float).eps * gap**-order
     if factor > _ROUNDOFF_LIMIT:
         return 0.0
-    size = max(
-        profile_sobolev_norm(result.grid, p, order, stencils) for p in result.snapshots.values()
-    )
+    size = max(profile_sobolev_norm(grid, p, order, stencils) for p in result.snapshots.values())
     return float(factor * size)
 
 

@@ -343,7 +343,9 @@ def instability_witness(dist, coupling, amplitude):
     reduces to A exp(i omega0 t) (1 - int_0^t G(u) exp(-i omega0 u) du), which
     needs only a finite integral.
 
-    Returns (source callable, predicted growth rate).
+    Returns (source callable, predicted growth rate).  The source takes an
+    increasing array of times from t = 0, the grid ``solve`` samples it on:
+    the integral accumulates interval by interval along that array.
     """
     if amplitude == 0:
         raise ValueError("witness amplitude must be nonzero")
@@ -356,16 +358,7 @@ def instability_witness(dist, coupling, amplitude):
     kernel = kuramoto_kernel(dist, coupling)
 
     def source(t):
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        order = np.argsort(arr)
-        sorted_t = arr[order]
-        grid = np.concatenate(([0.0], sorted_t)) if sorted_t[0] > 0 else sorted_t
-        cum = _cumulative_transform(kernel, omega0, grid)
-        if sorted_t[0] > 0:
-            cum = cum[1:]
-        vals = amplitude * np.exp(1j * omega0 * sorted_t) * (1.0 - cum)
-        out = np.empty_like(vals)
-        out[order] = vals
-        return out if np.ndim(t) else complex(out[0])
+        cum = _cumulative_transform(kernel, omega0, t)
+        return amplitude * np.exp(1j * omega0 * t) * (1.0 - cum)
 
     return source, float(-omega0.imag)

@@ -69,9 +69,8 @@ def damping_run():
         output_every=25,
         weight_order=4,
         snapshot_times=(8.0, 16.0, 24.0, 32.0),
-        collect_diagnostics=False,
     )
-    return result
+    return state, result
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +224,7 @@ def test_criterion_8_linear_nonlinear_consistency():
     # half the echo horizon, rounded onto the shared output lattice
     horizon = np.floor(recurrence_horizon(grid) / 2.0 / 0.1) * 0.1
     state = initialize(dist, grid, 8, 1e-6, 1.0, modes={1: _mode_constant})
-    result = run(state, 0.01, horizon, output_every=10, collect_diagnostics=False)
+    result = run(state, 0.01, horizon, output_every=10)
 
     vol = solve(
         VolterraProblem(
@@ -245,12 +244,13 @@ def test_criterion_8_linear_nonlinear_consistency():
 
 def test_criterion_9_nonlinear_damping(damping_run):
     start = time.perf_counter()
-    res = damping_run
+    state, res = damping_run
+    horizon = recurrence_horizon(state.grid)
     t, magnitude = res.times, np.abs(res.order_params)
     weighted = (1.0 + t) ** 4 * magnitude
     r0 = magnitude[0]
     below = t[magnitude <= 1e-6 * r0]
-    decayed = below.size > 0 and below[0] < res.recurrence_time
+    decayed = below.size > 0 and below[0] < horizon
     window = t >= 5.0
     envelope_growth = float(np.max(weighted[window]) / weighted[window][0])
     elapsed = time.perf_counter() - start
@@ -260,12 +260,12 @@ def test_criterion_9_nonlinear_damping(damping_run):
         "grows at most 10% after t=5",
         decayed and envelope_growth <= 1.10 and elapsed < 300.0,
         f"first crossing {below[0] if below.size else None}, horizon "
-        f"{res.recurrence_time:.1f}, envelope ratio {envelope_growth:.4f}",
+        f"{horizon:.1f}, envelope ratio {envelope_growth:.4f}",
     )
 
 
 def test_criterion_10_scattering_convergence(damping_run):
-    report = scattering_profile(damping_run, 4)
+    report = scattering_profile(*damping_run, 4)
     times_found = report.snapshot_times
     norms = report.pairwise_norms
     monotone = all(b < a for a, b in zip(norms[:-1], norms[1:]))
@@ -285,8 +285,7 @@ def test_criterion_11_small_coupling_large_perturbation():
     def damping_checks(coupling, dt, run_horizon):
         state = initialize(dist, grid, 8, 0.2, coupling, modes={1: _mode_gaussian})
         try:
-            res = run(state, dt, run_horizon, output_every=25, weight_order=4,
-                      collect_diagnostics=False)
+            res = run(state, dt, run_horizon, output_every=25, weight_order=4)
         except BlowupDetected:
             return False, "blowup"
         magnitude = np.abs(res.order_params)
@@ -316,7 +315,7 @@ def test_criterion_12_finite_population_agreement():
 
     grid = build_grid(dist, 512)
     cont = initialize(dist, grid, 8, eps, 1.0, modes={1: _mode_constant})
-    res = run(cont, 0.005, 10.0, output_every=10, collect_diagnostics=False)
+    res = run(cont, 0.005, 10.0, output_every=10)
     diff = float(np.max(np.abs(np.conj(z) - eps * res.order_params)))
     _report(
         12,
@@ -334,7 +333,7 @@ def test_criterion_13_free_transport_exactness():
         modes={1: _mode_constant, 2: lambda w: 0.3 * _mode_gaussian(w)},
     )
     start = state.coeffs.copy()
-    run(state, 1e-2, 50.0, output_every=10**9, collect_diagnostics=False)
+    run(state, 1e-2, 50.0, output_every=10**9)
     k = np.arange(1, 9)[:, None]
     exact = start * np.exp(-1j * k * grid.nodes[None, :] * state.time)
     err = float(np.max(np.abs(state.coeffs - exact)))

@@ -287,6 +287,30 @@ def test_linear_run_artifacts(tmp_path):
     assert fit["fit"]["residual"] is not None
 
 
+@pytest.mark.parametrize(
+    "modulation, factor",
+    [("cos", lambda t: np.cos(t) + 0j), ("exp_i", lambda t: np.exp(1j * t))],
+)
+def test_poly_decay_modulation_matches_direct_march(tmp_path, modulation, factor):
+    # Cauchy(1) at K = 1: kernel G = e^{-t}/2, source F = (1+t)^-4 times the
+    # modulation; the one-dot-product-per-step march of both closed forms
+    # agrees to 1.1e-16 (max |R| = 1), and a real F gives Im R = 0 exactly
+    from test_volterra import _direct_march
+
+    config = dict(_VALID["linear"](), input={"type": "poly_decay", "modulation": modulation},
+                  horizon=5.0)
+    out = tmp_path / "out"
+    assert main(["linear", "--config", _write_config(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 0
+    data = np.loadtxt(out / "R.csv", delimiter=",", skiprows=1)
+    t, r = data[:, 0], data[:, 1] + 1j * data[:, 2]
+    expected = _direct_march(0.5 * np.exp(-t), (1.0 + t) ** -4.0 * factor(t), 0.05)
+    assert t.size == 101
+    assert np.max(np.abs(r - expected)) <= 1e-14
+    if modulation == "cos":
+        assert not data[:, 2].any()
+
+
 def test_witness_run_confirms_growth(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -649,8 +673,29 @@ _VALID = {
                      id="stability-distribution-center-nan"),
         pytest.param("stability", "distribution", {"family": "cauchy", "delta": np.inf},
                      id="stability-distribution-delta-inf"),
-        # an integer key's range is the one the solver needs (see _RANGE_MESSAGES)
+        # an integer key's range is the one the solver needs (see _MESSAGES)
         ("nonlinear", "weight_order", 0),
+        # each of these rows reaches its own check (see _MESSAGES)
+        pytest.param("nonlinear", "dt", 0, id="nonlinear-dt-0"),
+        pytest.param("nonlinear", "epsilon", 0, id="nonlinear-epsilon-0"),
+        pytest.param("nonlinear", "initial_perturbation",
+                     {"modes": [{"mode": 1, "kind": "gaussian", "width": 0}]},
+                     id="nonlinear-mode-width-0"),
+        pytest.param("nonlinear", "initial_perturbation", {"modes": [{"mode": 1, "kind": "bogus"}]},
+                     id="nonlinear-mode-kind-bogus"),
+        pytest.param("nonlinear", "initial_perturbation", {"modes": []}, id="nonlinear-modes-empty"),
+        pytest.param("nonlinear", "initial_perturbation",
+                     {"modes": [{"mode": 1, "kind": "constant"}, {"mode": 1, "kind": "gaussian"}]},
+                     id="nonlinear-mode-duplicate"),
+        # the valid nonlinear config has k_max 8
+        pytest.param("nonlinear", "initial_perturbation", {"modes": [{"mode": 9, "kind": "constant"}]},
+                     id="nonlinear-mode-above-k_max"),
+        pytest.param("kc-scan", "parameter", "sigma", id="kc-scan-parameter-sigma"),
+        pytest.param("kc-scan", "values", [], id="kc-scan-values-empty"),
+        pytest.param("linear", "input", {"type": "poly_decay", "modulation": "sin"},
+                     id="linear-input-modulation-sin"),
+        pytest.param("linear", "input", {"type": "bogus"}, id="linear-input-type-bogus"),
+        pytest.param("linear", "horizon", -1.0, id="linear-horizon-negative"),
     ],
 )
 def test_invalid_value_is_config_error_without_artifacts(
@@ -664,18 +709,32 @@ def test_invalid_value_is_config_error_without_artifacts(
     assert not out.exists()
     err = capsys.readouterr().err
     assert "config error" in err
-    assert _RANGE_MESSAGES.get(request.node.callspec.id, "") in err
+    assert _MESSAGES.get(request.node.callspec.id, "") in err
 
 
 # Each integer key's range check states the least value the solver can run
 # with, and rejects it before the grid build: the diagnostics need order >= 2,
 # the mode closure k_max >= 2 and the sampler two oscillators.
-_RANGE_MESSAGES = {
+_MESSAGES = {
     "nonlinear-weight_order-0": "nonlinear: weight_order must be an integer in [2, 8], got 0",
     "nonlinear-weight_order-1": "nonlinear: weight_order must be an integer in [2, 8], got 1",
     "nonlinear-weight_order-above-max": "nonlinear: weight_order must be an integer in [2, 8], got 9",
     "nonlinear-k_max-1": "nonlinear: k_max must be an integer >= 2, got 1",
     "finite-n-oscillators-1": "finite-n: oscillators must be an integer >= 2, got 1",
+    "nonlinear-dt-0": "nonlinear: dt must be a positive finite number, got 0",
+    "nonlinear-epsilon-0": "nonlinear: epsilon must be a positive finite number, got 0",
+    "nonlinear-mode-width-0":
+        "nonlinear.initial_perturbation.modes[0]: width must be a positive finite number, got 0",
+    "nonlinear-mode-kind-bogus":
+        "nonlinear.initial_perturbation.modes[0]: unknown mode kind 'bogus'",
+    "nonlinear-modes-empty": "nonlinear.initial_perturbation: modes must be a non-empty list",
+    "nonlinear-mode-duplicate": "nonlinear.initial_perturbation: duplicate mode 1",
+    "nonlinear-mode-above-k_max": "nonlinear: mode 9 outside 1..8",
+    "kc-scan-parameter-sigma": "kc-scan: parameter must be 'omega0' or 'delta', got 'sigma'",
+    "kc-scan-values-empty": "kc-scan: values must be a non-empty list",
+    "linear-input-modulation-sin": "linear: unknown modulation 'sin'",
+    "linear-input-type-bogus": "linear: unknown input type 'bogus'",
+    "linear-horizon-negative": "linear: horizon must be a positive finite number, got -1.0",
 }
 
 
@@ -1208,6 +1267,13 @@ def test_compare_of_runs_by_hand_runs(tmp_path, monkeypatch):
         pytest.param("finite-n", {}, {"nl/R.csv": None}, id="run-csv-a-directory"),
         pytest.param("linear", {"input": {"type": "csv", "path": "nl"}}, {},
                      id="linear-input-path-a-directory"),
+        pytest.param("linear", {"input": {"type": "csv", "path": "F.csv"}}, {},
+                     id="linear-input-path-does-not-exist"),
+        # compare reads two earlier runs of the right experiments
+        pytest.param("compare", {"continuum_dir": "no-nl", "finite_n_dir": "no-fn"}, {},
+                     id="compare-run-dirs-missing"),
+        pytest.param("compare", {}, {"nl/config.json": _sidecar("finite-n", {"epsilon": 0.5})},
+                     id="continuum-dir-holds-a-finite-n-run"),
     ],
 )
 def test_bad_run_input_is_config_error_without_artifacts(

@@ -287,7 +287,7 @@ def test_matches_continuum_order_parameter():
 
     grid = build_grid(dist, 512)
     cont = initialize(dist, grid, 8, eps, 1.0, modes={1: _unit})
-    res = run(cont, 0.01, 5.0, output_every=20, collect_diagnostics=False)
+    res = run(cont, 0.01, 5.0, output_every=20)
 
     # finite-N sum uses exp(+i theta), the continuum weight exp(-i theta)
     diff = np.abs(np.conj(z) - eps * res.order_params)
@@ -303,7 +303,7 @@ def test_convergence_rate_with_population_size():
     eps = 1e-2
     grid = build_grid(dist, 512)
     cont = initialize(dist, grid, 8, eps, 1.0, modes={1: _unit})
-    res = run(cont, 0.01, 3.0, output_every=30, collect_diagnostics=False)
+    res = run(cont, 0.01, 3.0, output_every=30)
 
     sups = []
     for count in (512, 2048):
@@ -311,3 +311,22 @@ def test_convergence_rate_with_population_size():
         _, z = simulate(state, 0.01, 3.0, output_every=30)
         sups.append(np.abs(np.conj(z) - eps * res.order_params).max())
     assert sups[1] < sups[0]
+
+
+@pytest.mark.parametrize(
+    "output_every, recorded",
+    [(3, [0, 3, 6, 7]), (7, [0, 7]), (8, [0, 7])],
+)
+def test_both_marches_record_at_one_cadence(output_every, recorded):
+    # 7 steps: a record at step 0, after every output_every-th step and after the last
+    from kuramoto_damping.distributions import build_grid
+    from kuramoto_damping.spectral import initialize, run
+
+    dt, dist = 0.01, Gaussian(1.0)
+    state = sample_oscillators(dist, 64, 1.0, epsilon=1e-2, modes={1: _unit})
+    times, _ = simulate(state, dt, 7 * dt, output_every=output_every)
+    cont = initialize(dist, build_grid(dist, 64), 4, 1e-2, 1.0, modes={1: _unit})
+    res = run(cont, dt, 7 * dt, output_every=output_every)
+    for t in (times, res.times):
+        np.testing.assert_allclose(t, dt * np.array(recorded), rtol=0, atol=1e-15)
+    assert res.order_params.size == res.diag_norm_low.size == len(recorded)

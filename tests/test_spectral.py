@@ -65,7 +65,7 @@ def test_zero_perturbation_stays_zero(gaussian_grid):
     state = initialize(
         Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, modes={1: lambda w: np.zeros_like(w)}
     )
-    run(state, 0.01, 1.0, collect_diagnostics=False)
+    run(state, 0.01, 1.0)
     assert np.max(np.abs(state.coeffs)) == 0.0
 
 
@@ -170,7 +170,7 @@ def test_free_transport_is_exact_phase_rotation(gaussian_grid):
         modes={1: _ones, 2: lambda w: 0.3 * _gauss_profile(w)},
     )
     start = state.coeffs.copy()
-    run(state, 1e-2, 50.0, output_every=10**9, collect_diagnostics=False)
+    run(state, 1e-2, 50.0, output_every=10**9)
     k = np.arange(1, 9)[:, None]
     exact = start * np.exp(-1j * k * gaussian_grid.nodes[None, :] * state.time)
     assert np.max(np.abs(state.coeffs - exact)) <= 1e-8
@@ -179,7 +179,7 @@ def test_free_transport_is_exact_phase_rotation(gaussian_grid):
 def test_coupled_scheme_fourth_order(gaussian_grid):
     def final(dt):
         state = initialize(Gaussian(1.0), gaussian_grid, 8, 1e-3, 1.0, modes={1: _ones})
-        run(state, dt, 2.0, output_every=10**9, collect_diagnostics=False)
+        run(state, dt, 2.0, output_every=10**9)
         return state.coeffs
 
     ref = final(0.01 / 16)
@@ -247,7 +247,7 @@ def test_stepper_matches_plain_lawson_rk4(k_max, coupling_over_kc):
     expected = _plain_lawson_rk4(start().coeffs, grid, 0.3, coupling, dt, steps)
     scale = np.max(np.abs(expected))
     marched = start()
-    run(marched, dt, steps * dt, output_every=10**9, collect_diagnostics=False)
+    run(marched, dt, steps * dt, output_every=10**9)
     stepped = start()
     for _ in range(steps):
         step(stepped, dt)
@@ -262,7 +262,7 @@ def test_step_and_run_never_write_arrays_the_caller_holds(gaussian_grid):
     )
     held = {"initial coeffs": state.coeffs}
     res = run(
-        state, 0.01, 3.0, output_every=10, collect_diagnostics=False,
+        state, 0.01, 3.0, output_every=10,
         snapshot_times=(1.0, 2.0, 3.0),
     )
     held.update({f"snapshot {t}": snap for t, snap in res.snapshots.items()})
@@ -270,7 +270,7 @@ def test_step_and_run_never_write_arrays_the_caller_holds(gaussian_grid):
     held["unwound profile"] = unwound_profile(state)
     values = {name: array.copy() for name, array in held.items()}
     step(state, 0.01)
-    run(state, 0.01, 1.0, output_every=10, collect_diagnostics=False, snapshot_times=(0.5,))
+    run(state, 0.01, 1.0, output_every=10, snapshot_times=(0.5,))
     step(state, 0.01)
     assert state.time == pytest.approx(4.02, abs=1e-12)
     for name, array in held.items():
@@ -319,7 +319,7 @@ def test_truncation_robust_at_small_epsilon(gaussian_grid):
     results = {}
     for k_max in (8, 16):  # dt sized for the k_max = 16 transport bound
         state = initialize(Gaussian(1.0), gaussian_grid, k_max, 1e-3, 1.0, modes={1: _ones})
-        res = run(state, 0.005, 10.0, output_every=20, collect_diagnostics=False)
+        res = run(state, 0.005, 10.0, output_every=20)
         results[k_max] = res.order_params
     scale = np.max(np.abs(results[8]))
     assert np.max(np.abs(results[8] - results[16])) <= 1e-6 * scale
@@ -330,7 +330,7 @@ def test_linear_regime_matches_memory_kernel_solution(gaussian_grid):
     # source ghat(t); cross-module consistency of the whole linear route.
     eps = 1e-6
     state = initialize(Gaussian(1.0), gaussian_grid, 8, eps, 1.0, modes={1: _ones})
-    res = run(state, 0.01, 20.0, output_every=10, collect_diagnostics=False)
+    res = run(state, 0.01, 20.0, output_every=10)
     vol = solve(
         VolterraProblem(
             kuramoto_kernel(Gaussian(1.0), 1.0),
@@ -352,7 +352,7 @@ def test_norms_frozen_under_free_transport(gaussian_grid):
     state = initialize(Gaussian(1.0), gaussian_grid, 8, 1e-3, 0.0, modes={1: _gauss_profile})
     high0, low0 = sobolev_diagnostics(state, 4)
     high0 *= 1.0 + state.time
-    run(state, 0.01, 20.0, output_every=10**9, collect_diagnostics=False)
+    run(state, 0.01, 20.0, output_every=10**9)
     high1, low1 = sobolev_diagnostics(state, 4)
     high1 *= 1.0 + state.time
     assert high1 == pytest.approx(high0, rel=1e-8)
@@ -549,10 +549,10 @@ def test_grid_smaller_than_stencil_too_coarse():
 def test_scattering_free_transport_all_pairs_zero(gaussian_grid):
     state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 0.0, modes={1: _gauss_profile})
     res = run(
-        state, 0.01, 26.0, output_every=10, collect_diagnostics=False,
+        state, 0.01, 26.0, output_every=10,
         snapshot_times=(8.0, 16.0, 24.0),
     )
-    rep = scattering_profile(res, 4)
+    rep = scattering_profile(state, res, 4)
     assert max(rep.pairwise_norms) <= 1e-10
     assert rep.verdict == "Converged"
 
@@ -560,10 +560,10 @@ def test_scattering_free_transport_all_pairs_zero(gaussian_grid):
 def test_scattering_converges_in_stable_run(gaussian_grid):
     state = initialize(Gaussian(1.0), gaussian_grid, 8, 1e-3, 1.0, modes={1: _ones})
     res = run(
-        state, 0.01, 26.0, output_every=10, collect_diagnostics=False,
+        state, 0.01, 26.0, output_every=10,
         snapshot_times=(8.0, 16.0, 24.0),
     )
-    rep = scattering_profile(res, 4)
+    rep = scattering_profile(state, res, 4)
     assert rep.pairwise_norms[0] > rep.pairwise_norms[1]
     assert rep.verdict == "Converged"
 
@@ -573,14 +573,14 @@ def test_scattering_not_converged_when_unstable(gaussian_grid):
     coupling = 1.5 * np.sqrt(8.0 / np.pi)
     state = initialize(Gaussian(1.0), gaussian_grid, 8, 1e-3, coupling, modes={1: _ones})
     res = run(
-        state, 0.01, 26.0, output_every=10, collect_diagnostics=False,
+        state, 0.01, 26.0, output_every=10,
         snapshot_times=(8.0, 16.0, 24.0),
     )
-    rep = scattering_profile(res, 4)
+    rep = scattering_profile(state, res, 4)
     assert rep.verdict == "NotConverged"
     # at order 8 on 512 nodes the roundoff floor, 1e3 eps h_min^-6 times the
     # snapshots' norm, is 65 times that norm: it must not call the rise roundoff
-    rep = scattering_profile(res, MAX_WEIGHT_ORDER)
+    rep = scattering_profile(state, res, MAX_WEIGHT_ORDER)
     assert rep.pairwise_norms[1] > rep.pairwise_norms[0]
     assert rep.verdict == "NotConverged"
 
@@ -590,25 +590,25 @@ def test_scattering_verdict_ignores_the_order_of_roundoff(gaussian_grid):
     # pair norms rise, but they are roundoff, so the profile has converged;
     # the same differences 1e10 times larger are a rise the verdict must see
     state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 0.0, modes={1: _gauss_profile})
-    res = run(state, 0.01, 0.3, output_every=10, collect_diagnostics=False,
+    res = run(state, 0.01, 0.3, output_every=10,
               snapshot_times=(0.1, 0.2, 0.3))
     p = res.snapshots[min(res.snapshots)]
     signs = np.where(np.random.default_rng(0).random(p.shape) < 0.5, -1.0, 1.0)
     for scale, verdict in ((1.0, "Converged"), (1e10, "NotConverged")):
         snapshots = {1.0: p, 2.0: p * (1.0 + scale * 2**-52 * signs),
                      3.0: p * (1.0 - scale * 2**-51 * signs)}
-        rep = scattering_profile(dataclasses.replace(res, snapshots=snapshots), 4)
+        rep = scattering_profile(state, dataclasses.replace(res, snapshots=snapshots), 4)
         assert rep.pairwise_norms[1] > rep.pairwise_norms[0] > 0.0
         assert rep.verdict == verdict
 
 
 def test_scattering_pair_norms_are_module_norms_of_differences(monkeypatch, gaussian_grid):
-    # scattering_profile builds its stencils once per call, still reaches
+    # scattering_profile takes its stencils from the state, still reaches
     # profile_sobolev_norm through the module once per pair, and gets bitwise
     # the norms a stand-alone call gives
     state = initialize(Gaussian(1.0), gaussian_grid, 8, 1e-3, 1.0, modes={1: _ones})
     res = run(
-        state, 0.01, 26.0, output_every=10, collect_diagnostics=False,
+        state, 0.01, 26.0, output_every=10,
         snapshot_times=(6.0, 12.0, 18.0, 24.0),
     )
     times = sorted(res.snapshots)
@@ -623,7 +623,7 @@ def test_scattering_pair_norms_are_module_norms_of_differences(monkeypatch, gaus
         return original(*args)
 
     monkeypatch.setattr(spectral, "profile_sobolev_norm", counted)
-    rep = scattering_profile(res, 4)
+    rep = scattering_profile(state, res, 4)
     assert rep.pairwise_norms == expected
     assert calls == [2, 2, 2]
 
@@ -645,7 +645,7 @@ def test_unmatched_snapshot_time_keeps_later_snapshots(gaussian_grid, requested,
     # each output takes the requested times within half an output interval
     state = initialize(Gaussian(1.0), gaussian_grid, 4, 1e-3, 1.0, modes={1: _gauss_profile})
     res = run(
-        state, 0.01, 4.0, output_every=10, collect_diagnostics=False,
+        state, 0.01, 4.0, output_every=10,
         snapshot_times=requested,
     )
     assert sorted(res.snapshots) == pytest.approx(expected, abs=1e-9)
