@@ -19,8 +19,10 @@ converges at fourth order in the step size.  The coupling part of row k is
 k (a c_{k-1} + b c_{k+1}), plus g on row 1, with scalars a, g proportional to
 R and b to conj(R).  Each ``run`` call builds one stepper: the half- and
 full-step phase tables P and Q, the tables P k, Q k/3, 2 P k/3, k and k/3
-that fold the row factor and the RK4 weights into them, and a fixed set of
-(k_max, J) work arrays, all reused by every step of that call.
+that fold the row factor and the RK4 weights into them, and five (k_max, J)
+work arrays, all reused by every step of that call.  The work arrays are
+dead between steps, so each record of the call computes its unwound profile
+and omega derivatives in them too; only a stored snapshot is a new array.
 
 Sobolev diagnostics act on the transport-frame profile p = (unwound r) * g,
 whose mode amplitudes are c_k e^{+i k omega t} g(omega); theta derivatives are
@@ -203,36 +205,41 @@ class _LawsonStepper:
         self.k = np.broadcast_to(k, lam.shape).astype(complex)
         self.k_third = self.k / 3.0
         self.coeffs = np.array(state.coeffs, dtype=complex)
-        self.stage, self.slope, self.total, self.middle, self.rotated, self.work = (
-            np.empty_like(self.coeffs) for _ in range(6)
+        self.stage, self.slope, self.total, self.middle, self.rotated = (
+            np.empty_like(self.coeffs) for _ in range(5)
         )
         state.coeffs = self.coeffs
 
     def advance(self):
-        """One step in place, then the blowup guard."""
-        state, work = self.state, self.work
+        """One step in place, then the blowup guard.
+
+        Every scratch and product lands in a work array that is dead at that
+        point of the step.  The operand order of each product is fixed:
+        numpy's complex product is not bitwise symmetric.
+        """
+        state = self.state
         weights, gain, eps = state.grid.weights, self.gain, state.epsilon
         c, y, m, mid = self.coeffs, self.stage, self.slope, self.middle
         acc, u = self.total, self.rotated
-        _coupling(c, weights, gain, eps, m, work)  # M1
+        _coupling(c, weights, gain, eps, m, y)  # M1
         np.multiply(self.p_half, c, out=u)  # P c
         np.multiply(self.p_k, m, out=y)
         y += u  # y2
         np.multiply(self.q_third, m, out=acc)
-        _coupling(y, weights, gain, eps, mid, work)  # M2
+        _coupling(y, weights, gain, eps, mid, m)  # M2
         np.multiply(self.k, mid, out=y)
         y += u  # y3
-        _coupling(y, weights, gain, eps, m, work)  # M3
+        _coupling(y, weights, gain, eps, m, u)  # M3
         mid += m  # M2 + M3
-        np.multiply(self.p_full, c, out=c)  # Q c; numpy's complex product is not bitwise symmetric
+        np.multiply(self.p_full, c, out=c)  # Q c
         np.multiply(self.p_k, m, out=y)
         y += y  # doubling is exact: 2 P k M3
         y += c  # y4
-        np.multiply(self.p_two_thirds, mid, out=work)
-        acc += work
-        _coupling(y, weights, gain, eps, m, work)  # M4
-        np.multiply(self.k_third, m, out=work)
-        acc += work
+        np.multiply(self.p_two_thirds, mid, out=mid)
+        acc += mid
+        _coupling(y, weights, gain, eps, m, u)  # M4
+        np.multiply(self.k_third, m, out=m)
+        acc += m
         c += acc
         state.time += self.dt
         _check_blowup(state)
@@ -279,35 +286,45 @@ def run(state, time_step, horizon, output_every=1, weight_order=4, snapshot_time
     Enforces the step-size precondition, emits R(t), the two profile
     diagnostics at the requested weight order, and unwound-profile snapshots
     at the output times nearest to ``snapshot_times``: an output takes one
-    snapshot for every requested time within half an output interval of it,
-    and a requested time that no output matched is dropped once passed.  The
-    outputs follow the cadence of ``finiten.march``.
+    snapshot for every requested time within half an output interval of it
+    that is no nearer the next output, and a requested time that no output
+    matched is dropped once passed.  The outputs follow the cadence of
+    ``finiten.march``, so the next one is ``output_every`` steps on, or the
+    last step.  The diagnostics are computed in the stepper's work arrays.
     """
     bound = stability_time_step_bound(state)
     if time_step > bound * (1.0 + 1e-12):
         raise ValueError(f"time_step {time_step} exceeds stability bound {bound:.4g}")
     stepper = _LawsonStepper(state, time_step)
     stencils = _stencils(state.grid.nodes, weight_order, state.stencils)
+    work = (stepper.stage, stepper.slope, stepper.total)  # dead between steps
+    steps = int(round(horizon / time_step))
 
     wanted = [float(t) for t in snapshot_times]
     reach = 0.5 * time_step * output_every
     times, orders = [], []
     diag = ([], [])
     snapshots = {}
+    step = 0
 
     def record():
+        nonlocal step
         t = state.time
         R = order_parameter(state)
         times.append(t)
         orders.append(R)
-        over, low = sobolev_diagnostics(state, weight_order, stencils)
+        over, low = sobolev_diagnostics(state, weight_order, stencils, work)
         diag[0].append(over)
         diag[1].append(low)
-        if any(abs(t - w) <= reach for w in wanted):
+        # taken here: within reach and no nearer the next output (none after the last)
+        gap = (min(step + output_every, steps) - step) * time_step
+        here = [abs(t - w) <= min(reach, abs(t + gap - w)) for w in wanted]
+        if any(here):
             snapshots[t] = unwound_profile(state)
-        wanted[:] = [w for w in wanted if w > t + reach]
+        wanted[:] = [w for w, taken in zip(wanted, here) if w > t and not taken]
+        step = min(step + output_every, steps)
 
-    march(stepper, int(round(horizon / time_step)), output_every, record)
+    march(stepper, steps, output_every, record)
     return SimResult(
         times=np.array(times),
         order_params=np.array(orders),
@@ -321,11 +338,20 @@ def run(state, time_step, horizon, output_every=1, weight_order=4, snapshot_time
 # Sobolev diagnostics in the transport frame
 
 
-def unwound_profile(state):
-    """Mode amplitudes of p = (transport-unwound r) * g: c_k e^{+ik omega t} g."""
+def unwound_profile(state, out=None):
+    """Mode amplitudes of p = (transport-unwound r) * g: c_k e^{+ik omega t} g.
+
+    Computed in ``out``, an array of the coefficients' shape and dtype, or in
+    a new one.
+    """
+    out = np.empty_like(state.coeffs) if out is None else out
     k_values = np.arange(1, state.k_max + 1, dtype=float)
-    phases = np.exp(1j * k_values[:, None] * state.grid.nodes[None, :] * state.time)
-    return state.coeffs * phases * state.dist.density(state.grid.nodes)[None, :]
+    np.multiply(1j * k_values[:, None], state.grid.nodes, out=out)
+    out *= state.time
+    np.exp(out, out=out)  # the phases
+    np.multiply(state.coeffs, out, out=out)
+    out *= state.dist.density(state.grid.nodes)
+    return out
 
 
 def _fornberg_weights(x, x0, max_order):
@@ -394,23 +420,34 @@ def _stencils(nodes, order, built=None):
     return built[:order]
 
 
-def _derivative_amplitudes(grid, profile, order, stencils=None):
+def _derivative_amplitudes(grid, profile, order, stencils=None, work=None):
     """sum_j wbar_j (1 + omega_j^2) |d^b p_k / d omega^b|^2 for b = 0..order.
 
     Returns shape (order + 1, k_max): one row per derivative order.
     ``stencils``, when given, is ``_stencils(grid.nodes, order)``; otherwise
     it is built here.  A stencil applies by one slice per offset on
     the rows where it is centred; only the rows at each end, whose stencils
-    are shifted inward, gather their nodes.
+    are shifted inward, gather their nodes.  ``work``, two arrays of the
+    profile's shape and of ``np.result_type(profile, float)``, holds the
+    derivative and its scratch; without it they are allocated.
     """
     profile = np.asarray(profile)
     if stencils is None:
         stencils = _stencils(grid.nodes, order)
+    if work is None:
+        work = [np.empty(profile.shape, dtype=np.result_type(profile, float)) for _ in range(2)]
+    deriv, term = work
+    # |values|^2 is written over the scratch, which is dead whenever it is taken
+    squared = term.reshape(-1).view(float)[: profile.size].reshape(profile.shape)
     weight = grid.bare_weights * (1.0 + grid.nodes**2)
-    amps = [blas.matvec(np.abs(profile) ** 2, weight)]
+
+    def amplitudes(values):
+        np.abs(values, out=squared)
+        np.square(squared, out=squared)
+        return blas.matvec(squared, weight)
+
+    amps = [amplitudes(profile)]
     size = profile.shape[-1]
-    deriv = np.empty(profile.shape, dtype=np.result_type(profile, float))
-    term = np.empty_like(deriv)
     for idx, W in stencils:
         width = W.shape[0]
         count = size - width + 1  # rows whose stencil is centred, not shifted inward
@@ -422,7 +459,7 @@ def _derivative_amplitudes(grid, profile, order, stencils=None):
             inner += scratch
         edges = np.r_[: centred.start, centred.stop : size]
         deriv[:, edges] = (profile[:, idx[edges]] * W[:, edges].T).sum(-1)
-        amps.append(blas.matvec(np.abs(deriv) ** 2, weight))
+        amps.append(amplitudes(deriv))
     return np.array(amps)
 
 
@@ -448,17 +485,23 @@ def profile_sobolev_norm(grid, profile, order, stencils=None):
     return _norm_from_amplitudes(amps, order)
 
 
-def sobolev_diagnostics(state, order, stencils=None):
+def sobolev_diagnostics(state, order, stencils=None, work=None):
     """The two profile components of the bootstrap at the current time.
 
     Returns (||p||_{H^order} / (1+t), ||p||_{H^{order-2}}); the third,
     (1+t)^order |R|, comes from ``SimResult.order_params``.  Both norms share one set
     of omega derivatives.  ``run`` passes the omega stencils for orders
     1..order, built once per run; without them they are built per call.
+    ``work``, three arrays of the coefficients' shape and dtype that the call
+    may overwrite, holds the unwound profile and its omega derivatives; ``run``
+    passes its stepper's.  Without it they are allocated.
     """
     if order < 2:
         raise ValueError(f"diagnostics need order >= 2, got {order}")
-    amps = _derivative_amplitudes(state.grid, unwound_profile(state), order, stencils)
+    if work is None:
+        work = [np.empty_like(state.coeffs) for _ in range(3)]
+    profile = unwound_profile(state, work[0])
+    amps = _derivative_amplitudes(state.grid, profile, order, stencils, work[1:])
     high = _norm_from_amplitudes(amps, order)
     return high / (1.0 + state.time), _norm_from_amplitudes(amps, order - 2)
 

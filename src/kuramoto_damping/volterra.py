@@ -70,13 +70,10 @@ def _smooth_lengths(limit):
     return np.sort(lengths).tolist()
 
 
-# a block product has fewer than MAX_STEPS entries, and 2 MAX_STEPS holds a power of two above that
-_FAST_LENGTHS = _smooth_lengths(2 * MAX_STEPS)
-
-
-def _fast_len(n):
-    """The smallest 11-smooth length >= n."""
-    return _FAST_LENGTHS[bisect.bisect_left(_FAST_LENGTHS, n)]
+def _fast_len(n, lengths):
+    """The smallest 11-smooth length >= n, from ``lengths = _smooth_lengths(limit)``
+    with limit >= 2 n, which holds a power of two at or above n."""
+    return lengths[bisect.bisect_left(lengths, n)]
 
 
 @dataclass
@@ -152,15 +149,16 @@ def _tilt(x, g):
     return up
 
 
-def _block_product(x, g):
+def _block_product(x, g, lengths):
     """Entries x.size-1 .. g.size-1 of the linear convolution of x and g.
 
-    One tilted FFT product of length g.size; its wrap-around lands only on
-    earlier entries.  Real x and g take the real-input transforms, at half the
-    work, and give a real product, as a direct sum would.
+    One tilted FFT product of length g.size, rounded up to the 11-smooth
+    ``_fast_len(g.size, lengths)``; its wrap-around lands only on earlier
+    entries.  Real x and g take the real-input transforms, at half the work,
+    and give a real product, as a direct sum would.
     """
     up = _tilt(x, g)
-    size = _fast_len(g.size)
+    size = _fast_len(g.size, lengths)
     if any(np.iscomplexobj(a) and a.imag.any() for a in (x, g)):
         prod = np.fft.ifft(np.fft.fft(x * up[: x.size], size) * np.fft.fft(g * up, size))
     else:
@@ -226,6 +224,8 @@ def solve(problem):
         raise StepSolveFailure(f"implicit diagonal factor 1 - dt G(0)/2 = {denom} is singular")
 
     inv = _leaf_inverse(G, dt, denom, min(_LEAF, steps))
+    # a block product has fewer than steps entries, and 2 steps holds a power of two above that
+    lengths = _smooth_lengths(2 * steps)
     inv_re, inv_im = (inv.real.copy(), inv.imag.copy()) if np.iscomplexobj(inv) else (inv, None)
     R = np.zeros_like(F)
     R[0] = F[0]
@@ -257,7 +257,7 @@ def solve(problem):
             return
         mid = (lo + hi) // 2
         march(lo, mid)
-        history[mid:hi] += _block_product(R[lo:mid], G[1:n])
+        history[mid:hi] += _block_product(R[lo:mid], G[1:n], lengths)
         march(mid, hi)
 
     march(1, steps + 1)

@@ -7,6 +7,9 @@ on the solvers' own steppers:
   sup (1+t)^n |F| of the Volterra solution, over sources and horizons;
 * ``rhs`` and ``step``: the full time derivative of the spectral modes, and
   one Lawson RK4 step of them;
+* ``SixBufferLawsonStepper``: the Lawson step with a sixth work array for
+  every scratch and product, the reference that the five-array step must
+  match bitwise;
 * ``step_rk4`` and ``order_parameter_n``: one step of the N-oscillator
   system, and its order parameter summed afresh from the phases;
 * ``phase_turns``: each oscillator's unwrapped phase change over a march.
@@ -18,7 +21,7 @@ import numpy as np
 
 from kuramoto_damping.exceptions import KuramotoDampingError
 from kuramoto_damping.finiten import _Stepper, simulate
-from kuramoto_damping.spectral import _coupling, _LawsonStepper
+from kuramoto_damping.spectral import _check_blowup, _coupling, _LawsonStepper
 from kuramoto_damping.volterra import VolterraProblem, kuramoto_kernel, solve
 
 
@@ -89,6 +92,47 @@ def step(state, dt):
     """Advance the spectral modes by one integrating-factor RK4 step (transport exact)."""
     _LawsonStepper(state, dt).advance()
     return state
+
+
+class SixBufferLawsonStepper(_LawsonStepper):
+    """``_LawsonStepper`` with the step written against a sixth work array.
+
+    ``_coupling``'s scratch and the two ``table * buffer`` products that are
+    added to the total all go through ``work``; every other operation and
+    every operand order is the five-array step's.
+    """
+
+    def __init__(self, state, dt):
+        super().__init__(state, dt)
+        self.work = np.empty_like(self.coeffs)
+
+    def advance(self):
+        state, work = self.state, self.work
+        weights, gain, eps = state.grid.weights, self.gain, state.epsilon
+        c, y, m, mid = self.coeffs, self.stage, self.slope, self.middle
+        acc, u = self.total, self.rotated
+        _coupling(c, weights, gain, eps, m, work)  # M1
+        np.multiply(self.p_half, c, out=u)  # P c
+        np.multiply(self.p_k, m, out=y)
+        y += u  # y2
+        np.multiply(self.q_third, m, out=acc)
+        _coupling(y, weights, gain, eps, mid, work)  # M2
+        np.multiply(self.k, mid, out=y)
+        y += u  # y3
+        _coupling(y, weights, gain, eps, m, work)  # M3
+        mid += m  # M2 + M3
+        np.multiply(self.p_full, c, out=c)  # Q c
+        np.multiply(self.p_k, m, out=y)
+        y += y  # 2 P k M3
+        y += c  # y4
+        np.multiply(self.p_two_thirds, mid, out=work)
+        acc += work
+        _coupling(y, weights, gain, eps, m, work)  # M4
+        np.multiply(self.k_third, m, out=work)
+        acc += work
+        c += acc
+        state.time += self.dt
+        _check_blowup(state)
 
 
 def step_rk4(state, dt):

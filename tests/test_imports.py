@@ -50,6 +50,20 @@ def test_cli_import_builds_no_csv_tables():
     assert _probe(probe) == "0"
 
 
+def test_cli_import_builds_no_fft_length_table():
+    # the 11-smooth FFT lengths are built per Volterra solve, up to twice its
+    # step count; a table up to twice MAX_STEPS (5,369 lengths) cost every
+    # CLI process about 0.6 MB of peak RSS at import
+    probe = (
+        "import sys, numpy as np, kuramoto_damping.cli; "
+        "print(sorted(f'{name}.{key}' for name, module in sys.modules.items() "
+        "if name.startswith('kuramoto_damping') for key, value in vars(module).items() "
+        "if key != '__builtins__' and isinstance(value, (list, tuple, set, dict, np.ndarray)) "
+        "and len(value) > 100))"
+    )
+    assert _probe(probe) == "[]"
+
+
 def test_cli_calls_load_no_argument_parser_or_locale(tmp_path):
     # argparse imports gettext, and its first parser imports locale: about 2 ms
     # of every CLI call, which reads a fixed grammar
