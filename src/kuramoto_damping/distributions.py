@@ -485,28 +485,52 @@ class Mixture(FrequencyDistribution):
 
 
 _INVERT_MAX_STEPS = 80
-_INVERT_RESIDUAL = 1e-14
+_INVERT_STEP = 4.0 * np.finfo(float).eps  # a point stops once its step is at most this times |x|
 
 
-def invert_monotone(func, targets, x, lo, hi):
+def invert_monotone(func, targets, x, lo, hi, data=()):
     """Solve f(x) = targets elementwise for increasing f by Newton steps from ``x``.
 
-    ``func(x)`` returns the pair (f(x), f'(x)), so both come from one pass.
-    A step that leaves the bracket [lo, hi], shrunk as residual signs are seen, bisects it;
-    a step that rounds to zero keeps x, which may already be an end of the bracket.
+    ``func(x, *data)`` returns the pair (f(x), f'(x)), so both come from one
+    pass; it must act elementwise, and ``data`` holds arrays of per-point
+    parameters.  The start ``x`` lies in the bracket [lo, hi], which shrinks
+    to x as residual signs are seen.  A Newton step that leaves the bracket
+    bisects it; a step that rounds to zero keeps x, which may then be an end
+    of the bracket.
+
+    Each point stops on its own: at x once f(x) equals its target, or once
+    the step from x (Newton or bisection) moves it by at most 4 eps |x|.  A
+    stopped point keeps its x, and once half the points have stopped the
+    sweeps take only those still moving.  So a root does not depend on the
+    points solved beside it, and one array can be solved in any blocks.
     """
+    shape = np.broadcast(targets, x, lo, hi).shape
+    targets, x, lo, hi = (np.broadcast_to(a, shape).astype(float).ravel() for a in (targets, x, lo, hi))
+    data = [np.ravel(a) for a in data]
+    roots, index = x, np.arange(x.size)
+    stopped = np.zeros(x.size, dtype=bool)
     for _ in range(_INVERT_MAX_STEPS):
-        f, deriv = func(x)
+        f, deriv = func(x, *data)
         f = f - targets
-        lo = np.where(f < 0, np.maximum(lo, x), lo)
-        hi = np.where(f > 0, np.minimum(hi, x), hi)
+        lo = np.where(f < 0, x, lo)
+        hi = np.where(f > 0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - f / deriv
-        bad = (~np.isfinite(newton) | (newton <= lo) | (newton >= hi)) & (newton != x)
-        x = np.where(bad, 0.5 * (lo + hi), newton)
-        if np.max(np.abs(f)) < _INVERT_RESIDUAL:
+            step = x - f / deriv
+        inside = (step > lo) & (step < hi)
+        if not inside.all():
+            step = np.where(inside | (step == x), step, 0.5 * (lo + hi))
+        stopped |= (np.abs(step - x) <= _INVERT_STEP * np.abs(x)) | (f == 0)
+        x = np.where(stopped, x, step)
+        moving = x.size - np.count_nonzero(stopped)
+        if moving == 0:
             break
-    return x
+        if 2 * moving <= x.size:
+            roots[index] = x
+            keep = ~stopped
+            index, x, targets, lo, hi, stopped = (a[keep] for a in (index, x, targets, lo, hi, stopped))
+            data = [a[keep] for a in data]
+    roots[index] = x
+    return roots.reshape(shape)
 
 
 def bi_cauchy(half_width, offset):

@@ -12,6 +12,11 @@ on the solvers' own steppers:
   match bitwise;
 * ``step_rk4`` and ``order_parameter_n``: one step of the N-oscillator
   system, and its order parameter summed afresh from the phases;
+* ``FourArrayStepper``: the N-oscillator step with a fourth work array and
+  tables built through temporaries, the reference that the three-array step
+  must match bitwise;
+* ``batch_invert_monotone``: Newton inversion that stops the whole batch on
+  one residual, the rule before each point stopped on its own step;
 * ``phase_turns``: each oscillator's unwrapped phase change over a march.
 """
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kuramoto_damping.exceptions import KuramotoDampingError
-from kuramoto_damping.finiten import _Stepper, simulate
+from kuramoto_damping.finiten import TWO_PI, _Stepper, simulate
 from kuramoto_damping.spectral import _check_blowup, _coupling, _LawsonStepper
 from kuramoto_damping.volterra import VolterraProblem, kuramoto_kernel, solve
 
@@ -133,6 +138,78 @@ class SixBufferLawsonStepper(_LawsonStepper):
         c += acc
         state.time += self.dt
         _check_blowup(state)
+
+
+class FourArrayStepper(_Stepper):
+    """``_Stepper`` with its tables and z built through temporaries, a fourth
+    work array for the sum of the second and third slopes, and the phases
+    read by ``np.angle``; every operation and operand order is otherwise the
+    three-array step's."""
+
+    def __init__(self, state, dt):
+        self.state, self.dt = state, dt
+        self.scale = 0.25 * dt * state.coupling
+        omega = state.frequencies
+        self.half = np.exp(0.5j * dt * omega)
+        self.full = np.exp(1j * dt * omega)
+        self.z = np.exp(1j * state.phases)
+        self.mean = self.z.mean()
+        self.stage, self.slope, self.total, self.middle = (np.empty_like(self.z) for _ in range(4))
+
+    def advance(self):
+        p, z, y, s = self.half, self.z, self.stage, self.slope
+        acc, mid = self.total, self.middle
+        self._slope(z, self.mean, s)  # s = dt/2 k1
+        np.add(z, s, out=y)
+        y *= p
+        np.multiply(self.full, s, out=acc)
+        self._slope(y, y.mean(), mid)  # mid = dt/2 k2
+        np.multiply(p, z, out=y)
+        y += mid
+        self._slope(y, y.mean(), s)  # s = dt/2 k3
+        mid += s
+        s += s
+        np.multiply(p, z, out=y)
+        y += s
+        y *= p
+        mid *= p
+        acc += mid
+        acc += mid
+        self._slope(y, y.mean(), s)  # s = dt/2 k4
+        acc += s
+        acc *= 1.0 / 3.0
+        z *= self.full
+        z += acc
+        factor, square = y.view(float).reshape(2, -1)
+        np.multiply(z.real, z.real, out=factor)
+        np.multiply(z.imag, z.imag, out=square)
+        factor += square
+        factor *= 0.5
+        np.subtract(1.5, factor, out=factor)
+        z.real *= factor
+        z.imag *= factor
+        self.mean = z.mean()
+        self.state.time += self.dt
+
+    def finish(self):
+        self.state.phases = np.mod(np.angle(self.z), TWO_PI)
+
+
+def batch_invert_monotone(func, targets, x, lo, hi, steps=80, residual=1e-14):
+    """Newton steps on f(x) = targets, safeguarded by the bracket [lo, hi], until
+    the largest residual of the whole batch is below ``residual``."""
+    for _ in range(steps):
+        f, deriv = func(x)
+        f = f - targets
+        lo = np.where(f < 0, np.maximum(lo, x), lo)
+        hi = np.where(f > 0, np.minimum(hi, x), hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / deriv
+        bad = (~np.isfinite(newton) | (newton <= lo) | (newton >= hi)) & (newton != x)
+        x = np.where(bad, 0.5 * (lo + hi), newton)
+        if np.max(np.abs(f)) < residual:
+            break
+    return x
 
 
 def step_rk4(state, dt):
