@@ -6,8 +6,8 @@ Modules by concern:
 * ``distributions`` - frequency densities g(omega): values, Fourier
   transforms, moments, quadrature grids.
 * ``dispersion`` - stability of the incoherent state: dispersion function,
-  boundary criterion, winding-number index, critical couplings, unstable
-  roots.
+  boundary criterion, the winding-number index read off the boundary zeros,
+  critical couplings, unstable roots.
 * ``volterra`` - the memory-kernel equation of the linearized order
   parameter: product-trapezoidal marching, decay fits, exponential-growth
   witnesses.

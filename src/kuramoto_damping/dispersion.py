@@ -12,14 +12,15 @@ implemented:
 * the boundary criterion: where Im L vanishes at a real w*, D is real, and
   stability requires K < 2 / Re L(w*) (Re L(w) = pi g(-w) on the real axis),
 * the winding number of the image of the real line under D around the origin,
-  which counts the zeros in the open lower half plane.
+  which counts the zeros in the open lower half plane.  It is read off the
+  same zeros w*: the curve crosses the negative real axis only at a w* with
+  D(w*) < 0 (the Penrose criterion).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +40,8 @@ __all__ = [
 
 #: |D| below this value on the real axis is treated as a marginal case.
 MARGINAL_ABS_TOL = 1e-6
-# Winding contour: initial samples, refinement budget, chord / |D| ceiling.
-_WINDING_POINTS, _WINDING_MAX_POINTS, _WINDING_CHORD = 1025, 400_000, 0.05
+# |D(w*)| at or below this at a real zero w* of Im L: the curve meets the origin.
+_WINDING_FLOOR = 1e-9
 _SCAN_POINTS = 4001  # samples of Im L on the real axis when bracketing its zeros
 # Bracket width at which a zero of Im L counts as found: xtol + rtol |x|, as in brentq.
 _ZERO_XTOL, _ZERO_RTOL = 1e-14, 4.0 * np.finfo(float).eps
@@ -63,11 +64,20 @@ def laplace_transform(dist, omega):
     return total if np.ndim(total) else complex(total)
 
 
-def _envelope_horizon(dist, tail_tol):
+def _envelope_horizon(dist, coupling):
+    """A t with (K/2) int_t^inf |ghat| below 1e-12, at most 4096: diagnostics.laplaceHorizon."""
+    tail_tol = 1e-12 / max(coupling / 2.0, 1e-6)
     t = 1.0
     while dist.fourier_tail_integral(t) > tail_tol and t < 4096.0:
         t *= 2.0
     return t
+
+
+def _scan_window(dist):
+    """Ends of the real window in which the zeros of Im L are sought."""
+    loc, scale, halfspan = dist.location_hints()
+    span = halfspan + 12.0 * scale
+    return loc - span, loc + span
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +90,10 @@ class DispersionRelation:
 
     dist: object
     coupling: float
-    # a t with (K/2) int_t^inf |ghat| below 1e-12, at most 4096: diagnostics.laplaceHorizon
-    laplace_horizon: float = field(init=False)
 
     def __post_init__(self):
         if self.coupling < 0:
             raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
-        bound = 1e-12 / max(self.coupling / 2.0, 1e-6)
-        object.__setattr__(self, "laplace_horizon", _envelope_horizon(self.dist, bound))
 
     def evaluate(self, omega):
         """D(w) for Im(w) <= 0, closed form."""
@@ -101,72 +107,36 @@ class DispersionRelation:
 def winding_number(relation):
     """Index of the origin with respect to the closed curve {D(w) : w real}.
 
-    The real line is sampled adaptively until consecutive argument jumps stay
-    below pi/2 and image chords stay small against the local |D|; the curve is
-    closed through D(+-inf) = 1.  Raises MarginalError when the curve passes
-    too close to the origin to count robustly (criterion boundary).
+    Counted from the real zeros of Im L, where the curve meets the real axis.
+    Raises MarginalError when the curve passes too close to the origin to
+    count robustly (criterion boundary).
     """
-    return _winding_details(relation)[0]
+    return _winding(relation, _boundary_imag_zeros(relation.dist))[0]
 
 
-def _winding_details(relation):
-    """(winding number, contour points, min |D| on the contour)."""
-    loc, scale, halfspan = relation.dist.location_hints()
-    # |D - 1| <= (K/2)/|w - span| for Cauchy tails: keep closure arcs small.
-    omega_max = abs(loc) + halfspan + 20.0 * scale + 100.0 * max(relation.coupling, 1.0)
-    xs = np.linspace(-omega_max, omega_max, _WINDING_POINTS)
-    dvals = relation.evaluate(xs)
+def _winding(relation, zeros):
+    """(winding number, points read) from the sorted real zeros of Im L.
 
-    # Midpoint refinement in sweeps: each sweep splits every chord whose
-    # argument jump or length is too large, at once.  Floors on chord width
-    # catch curves that genuinely pass through the origin.
-    hit_floor = False
-    while True:
-        d0, d1 = dvals[:-1], dvals[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jump = np.where((d0 != 0) & (d1 != 0), np.abs(np.angle(d1 / d0)), np.inf)
-        chord = np.abs(d1 - d0)
-        ok = (jump < 0.5 * np.pi) & (chord <= _WINDING_CHORD * np.minimum(np.abs(d0), np.abs(d1)))
-        narrow = xs[1:] - xs[:-1] < 1e-13 * (1.0 + np.abs(xs[:-1]))
-        hit_floor = hit_floor or bool(np.any(~ok & narrow))
-        split = np.nonzero(~ok & ~narrow)[0]
-        if not split.size:
-            break
-        if xs.size + split.size > _WINDING_MAX_POINTS:
-            raise MarginalError(
-                "winding-number refinement budget exhausted; curve is marginal",
-                min_abs=float(np.min(np.abs(dvals))),
-            )
-        mid = 0.5 * (xs[split] + xs[split + 1])
-        dvals = np.insert(dvals, split + 1, relation.evaluate(mid))
-        xs = np.insert(xs, split + 1, mid)
-
-    mods = np.abs(dvals)
-    i_min = int(np.argmin(mods))
-    min_abs = float(mods[i_min])
-    lo, hi = max(0, i_min - 1), min(len(dvals) - 1, i_min + 1)
-    local_res = float(np.max(np.abs(np.diff(dvals[lo : hi + 1])))) if hi > lo else 0.0
-    if hit_floor or min_abs <= max(10.0 * local_res, 1e-9):
-        raise MarginalError(
-            f"dispersion curve passes within {min_abs:.3e} of the origin",
-            min_abs=min_abs,
-        )
-
-    increments = np.angle(dvals[1:] / dvals[:-1])
-    total = float(np.sum(increments))
-    total += cmath.phase(dvals[0])  # closure from D(-inf) = 1
-    total -= cmath.phase(dvals[-1])  # closure to D(+inf) = 1
-    # Ascending-omega traversal keeps the lower half plane on its right, so
-    # zeros below the axis accumulate argument clockwise; negate so the index
-    # counts those zeros positively.
-    winding = -total / (2.0 * np.pi)
-    nearest = int(round(winding))
-    if abs(winding - nearest) > 0.05:
-        raise MarginalError(
-            f"accumulated argument {winding:.4f} turns is not close to an integer",
-            min_abs=min_abs,
-        )
-    return nearest, len(dvals), min_abs
+    D(R) starts and ends at D(+-inf) = 1 and meets the real axis only at the
+    zeros w* of Im L, so it winds once around the origin for each signed
+    crossing of the negative real axis: a w* with D(w*) < 0 across which Im L
+    changes sign.  The sign s_i of Im L is read once on each interval the zeros
+    cut the scan window into: at its midpoint, or at the window's end for the
+    two outer ones.  Ascending w keeps the lower half plane on the right, so by
+    the argument principle winding = -1/2 sum over D(w*_i) < 0 of
+    (s_{i+1} - s_i) counts the zeros of D below the axis positively.
+    MarginalError when min |D(w*)| <= 1e-9.
+    """
+    zeros = np.array(zeros)
+    d_zeros = relation.evaluate(zeros)
+    min_abs = float(np.min(np.abs(d_zeros)))
+    if min_abs <= _WINDING_FLOOR:
+        raise MarginalError(f"dispersion curve passes within {min_abs:.3e} of the origin")
+    lo, hi = _scan_window(relation.dist)
+    probes = np.concatenate(([lo], 0.5 * (zeros[:-1] + zeros[1:]), [hi]))
+    signs = np.sign(np.imag(laplace_transform(relation.dist, probes)))
+    crossings = np.diff(signs)[np.real(d_zeros) < 0.0]
+    return int(-0.5 * np.sum(crossings)), zeros.size + probes.size
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +145,7 @@ def _winding_details(relation):
 
 def _boundary_imag_zeros(dist):
     """Sorted real zeros of Im L (equivalently of Im D for any K > 0)."""
-    loc, scale, halfspan = dist.location_hints()
-    span = halfspan + 12.0 * scale
-    xs = np.linspace(loc - span, loc + span, _SCAN_POINTS)
+    xs = np.linspace(*_scan_window(dist), _SCAN_POINTS)
     im = np.imag(laplace_transform(dist, xs))
     change = np.nonzero(im[:-1] * im[1:] < 0.0)[0]
     zeros = sorted([*xs[im == 0.0], *_refine_sign_changes(dist, xs[change], xs[change + 1])])
@@ -267,15 +235,17 @@ def find_unstable_root(relation):
 
     Damped Newton iteration on D with a numeric derivative (central
     differences, step 1e-6), seeded just below the boundary zeros nearest to
-    criterion failure.
+    criterion failure.  One scan of the real zeros of Im L gives the winding
+    number and those seeds.
     """
+    zeros = _boundary_imag_zeros(relation.dist)
     try:
-        w = winding_number(relation)
+        w = _winding(relation, zeros)[0]
     except MarginalError:
         w = 1  # marginal curves sit at the edge; still attempt a root search
     if w == 0:
         return None
-    return _newton_root(relation, *critical_coupling(relation.dist))
+    return _newton_root(relation, *_critical(relation.dist, zeros))
 
 
 def _newton_root(relation, kc, crit):
@@ -336,7 +306,7 @@ class StabilityReport:
     """Full classification of one (distribution, coupling) pair."""
 
     verdict: str  # "Stable" | "MarginallyUnstable" | "Unstable"
-    winding_number: int | None  # None when the contour passes too near the origin
+    winding_number: int | None  # None when the curve passes too near the origin
     boundary_zeros: list  # (omega, Re D, Im D) triples
     unstable_roots: list  # complex roots with Im < 0
     critical_coupling: float
@@ -360,8 +330,8 @@ class StabilityReport:
 def analyze_stability(dist, coupling, boundary_points=2001):
     """Classify linear stability of the incoherent state at one coupling.
 
-    One scan of the real zeros of Im L gives the boundary zeros and K_c; the
-    contour is wound once; the root search is seeded from that K_c.
+    One scan of the real zeros of Im L gives the boundary zeros, K_c, the
+    winding number and the seeds of the root search.
     """
     relation = DispersionRelation(dist, coupling)
     zeros = _boundary_imag_zeros(dist)
@@ -369,29 +339,23 @@ def analyze_stability(dist, coupling, boundary_points=2001):
     d_zeros = relation.evaluate(np.array(zeros))
     boundary = [(float(z), float(d.real), float(d.imag)) for z, d in zip(zeros, d_zeros)]
 
-    loc, scale, halfspan = dist.location_hints()
-    span = halfspan + 12.0 * scale
-    grid = np.linspace(loc - span, loc + span, boundary_points)
+    grid = np.linspace(*_scan_window(dist), boundary_points)
     dvals = np.append(relation.evaluate(grid), d_zeros)
     min_abs = float(np.min(np.abs(dvals)))
 
-    marginal = False
-    contour_points = 0
     try:
-        wind, contour_points, _ = _winding_details(relation)
-    except MarginalError as exc:
-        marginal = True
-        wind = None
-        min_abs = min(min_abs, exc.min_abs)
+        wind, contour_points = _winding(relation, zeros)
+    except MarginalError:
+        wind, contour_points = None, 0
 
     roots = []
-    if not marginal and wind > 0:
+    if wind is not None and wind > 0:
         try:
             roots.append(_newton_root(relation, kc, crit))
         except RootNotConverged:
             pass
 
-    if marginal or min_abs <= MARGINAL_ABS_TOL:
+    if wind is None or min_abs <= MARGINAL_ABS_TOL:
         verdict = "MarginallyUnstable"
     elif wind == 0:
         verdict = "Stable"
@@ -409,7 +373,7 @@ def analyze_stability(dist, coupling, boundary_points=2001):
             "minBoundaryAbsD": min_abs,
             "boundaryPoints": int(boundary_points),
             "contourPoints": int(contour_points),
-            "laplaceHorizon": float(relation.laplace_horizon),
+            "laplaceHorizon": float(_envelope_horizon(dist, coupling)),
             "l1SufficientCheck": bool(l1_sufficient_check(relation)),
         },
     )

@@ -24,10 +24,6 @@ class DomainError(KuramotoDampingError):
 class MarginalError(KuramotoDampingError):
     """The dispersion curve passes too close to the origin to count windings."""
 
-    def __init__(self, message, min_abs=None):
-        super().__init__(message)
-        self.min_abs = min_abs
-
 
 class NoZeroFound(KuramotoDampingError):
     """No real zero of the boundary criterion was located."""

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kuramoto_damping.dispersion import _ZERO_RTOL, _ZERO_XTOL, _check_lower_half, laplace_transform
+from kuramoto_damping.dispersion import (
+    _ZERO_RTOL,
+    _ZERO_XTOL,
+    _check_lower_half,
+    _envelope_horizon,
+    laplace_transform,
+)
 from kuramoto_damping.exceptions import KuramotoDampingError
 
 from density_oracles import components, density_derivative
@@ -109,8 +115,12 @@ def _pv_upper_limit(dist, omega):
 
 
 def evaluate_quadrature(relation, omega):
-    """D(w) via the Laplace integral truncated at ``relation.laplace_horizon``."""
-    val = laplace_transform_quadrature(relation.dist, omega, relation.laplace_horizon)
+    """D(w) via the Laplace integral truncated where (K/2) int_t^inf |ghat| < 1e-12.
+
+    That truncation is the report's ``diagnostics.laplaceHorizon``.
+    """
+    horizon = _envelope_horizon(relation.dist, relation.coupling)
+    val = laplace_transform_quadrature(relation.dist, omega, horizon)
     return 1.0 - 0.5 * relation.coupling * val
 
 

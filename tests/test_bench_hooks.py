@@ -1,9 +1,11 @@
-"""The benchmark's tracer still finds the functions it wraps.
+"""The benchmark still finds what it reads in the package and its artifacts.
 
 ``bench/child.py``'s ``install`` patches solver functions where their callers
 look them up, by name; a rename or a changed signature would leave a traced
 benchmark run failing or silently untraced.  Each experiment below runs in a
 fresh interpreter with the tracer installed, as a ``--trace 1`` operation does.
+``bench/run.py`` also reads ``diagnostics.contourPoints`` from every stability
+report it gets.
 """
 
 import json
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import kuramoto_damping
+from kuramoto_damping import cli
 
 PACKAGE_DIR = Path(kuramoto_damping.__file__).parent
 CHILD = PACKAGE_DIR.parents[1] / "bench" / "child.py"
@@ -75,3 +78,18 @@ def test_tracer_wraps_every_solver_layer(tmp_path):
     }
     assert wanted <= set(report["spans"])
     assert report["counts"]["finiten.oscillator_steps"] == _OSCILLATORS * _STEPS
+
+
+def test_every_stability_verdict_reports_an_integer_contour_count(tmp_path):
+    # Cauchy(1) has K_c = 2 exactly: its report there winds no number
+    for coupling, verdict in ((1.0, "Stable"), (2.6, "Unstable"), (2.0, "MarginallyUnstable")):
+        config = tmp_path / f"{coupling}.json"
+        config.write_text(json.dumps({"distribution": {"family": "cauchy", "delta": 1.0},
+                                      "coupling": coupling}))
+        out = tmp_path / str(coupling)
+        assert cli.main(["stability", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "stability_report.json").read_text())
+        points = report["diagnostics"]["contourPoints"]
+        assert report["verdict"] == verdict
+        assert type(points) is int and points >= 0
+        assert (points == 0) == (report["windingNumber"] is None)

@@ -1,6 +1,5 @@
 """Tests for the dispersion-function stability machinery."""
 
-import cmath
 import json
 import math
 
@@ -162,8 +161,18 @@ def test_winding_two_bump_above_threshold():
     assert winding_number(DispersionRelation(bi_cauchy(1.0, 2.0), 4.2)) >= 1
 
 
-@pytest.mark.parametrize("dist", TEST_DISTS)
-@pytest.mark.parametrize("factor", [0.5, 0.9, 1.2, 1.8])
+_THREE_BUMPS = Mixture(
+    (0.2, 0.5, 0.3), (Gaussian(0.3, -3.0), Gaussian(0.3, 0.0), Gaussian(0.3, 3.0))
+)
+_ASYMMETRIC = Mixture((0.3, 0.7), (Cauchy(0.5, -2.0), Gaussian(0.6, 1.5)))
+
+
+# the count reads the sign of Im L between its zeros: densities with 1, 3 and
+# 5 zeros, an asymmetric one among them, and a two-bump Cauchy just below the
+# offset 1/sqrt(3) at which g(0) turns from a maximum into a minimum, where g
+# is flattest at its single zero
+@pytest.mark.parametrize("dist", [*TEST_DISTS, _ASYMMETRIC, _THREE_BUMPS, bi_cauchy(1.0, 0.577)])
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.2, 1.8, 5.0, 20.0])
 def test_winding_matches_dense_oracle(dist, factor):
     kc, _ = critical_coupling(dist)
     rel = DispersionRelation(dist, factor * kc)
@@ -330,7 +339,8 @@ def test_report_verdict_consistency():
 
 
 def test_report_scans_zeros_and_winds_once(monkeypatch):
-    calls = {"_boundary_imag_zeros": 0, "_winding_details": 0}
+    # one scan of the zeros of Im L feeds K_c, the winding count and the Newton seeds
+    calls = {"_boundary_imag_zeros": 0, "_winding": 0}
 
     def counted(name):
         original = getattr(dispersion, name)
@@ -345,7 +355,9 @@ def test_report_scans_zeros_and_winds_once(monkeypatch):
         counted(name)
     rep = analyze_stability(Cauchy(1.0), 2.6)
     assert rep.verdict == "Unstable" and len(rep.unstable_roots) == 1
-    assert calls == {"_boundary_imag_zeros": 1, "_winding_details": 1}
+    assert calls == {"_boundary_imag_zeros": 1, "_winding": 1}
+    assert find_unstable_root(DispersionRelation(Cauchy(1.0), 2.6)) == rep.unstable_roots[0]
+    assert calls == {"_boundary_imag_zeros": 2, "_winding": 2}
 
 
 @pytest.mark.parametrize("dist", TEST_DISTS)
@@ -424,10 +436,6 @@ def _bench_sweeps(scale):
     )
 
 
-_THREE_BUMPS = Mixture(
-    (0.2, 0.5, 0.3), (Gaussian(0.3, -3.0), Gaussian(0.3, 0.0), Gaussian(0.3, 3.0))
-)
-_ASYMMETRIC = Mixture((0.3, 0.7), (Cauchy(0.5, -2.0), Gaussian(0.6, 1.5)))
 _REFINED = [
     *(dist for scale in (0.8, 1.0, 1.25) for dist in _bench_sweeps(scale)),
     Gaussian(1.0), Gaussian(0.7, 0.3), Cauchy(1.0), Cauchy(0.6, -0.4), _ASYMMETRIC, _THREE_BUMPS,
@@ -582,82 +590,3 @@ def test_family_outside_distributions_runs_through_dispersion(delta):
     assert fourier_moment(dist, 0) == pytest.approx(1.0 / delta, rel=1e-15)
     grid = build_grid(dist, 2048, 0.999)
     np.testing.assert_array_equal(grid.nodes, build_grid(Cauchy(delta), 2048, 0.999).nodes)
-
-
-# ---------------------------------------------------------------------------
-# winding refinement in sweeps against the work-stack refinement
-
-
-def _stack_winding_details(relation):
-    """Reference: the scalar work-stack midpoint refinement the sweeps replaced."""
-    loc, scale, halfspan = relation.dist.location_hints()
-    omega_max = abs(loc) + halfspan + 20.0 * scale + 100.0 * max(relation.coupling, 1.0)
-    xs = list(np.linspace(-omega_max, omega_max, dispersion._WINDING_POINTS))
-    ds = list(relation.evaluate(np.array(xs)))
-    total_points = len(xs)
-
-    def ok(d0, d1):
-        jump = abs(cmath.phase(d1 / d0)) if d0 != 0 and d1 != 0 else np.inf
-        chord = abs(d1 - d0)
-        return jump < 0.5 * np.pi and chord <= dispersion._WINDING_CHORD * min(abs(d0), abs(d1))
-
-    out_d = [ds[0]]
-    stack = [(xs[i], ds[i], xs[i + 1], ds[i + 1]) for i in range(len(xs) - 1)][::-1]
-    hit_floor = False
-    while stack:
-        x0, d0, x1, d1 = stack.pop()
-        if ok(d0, d1) or (x1 - x0) < 1e-13 * (1.0 + abs(x0)):
-            if not ok(d0, d1):
-                hit_floor = True
-            out_d.append(d1)
-            continue
-        if total_points >= dispersion._WINDING_MAX_POINTS:
-            raise MarginalError("budget exhausted", min_abs=float(np.min(np.abs(ds))))
-        xm = 0.5 * (x0 + x1)
-        dm = relation.evaluate(xm)
-        total_points += 1
-        stack.append((xm, dm, x1, d1))
-        stack.append((x0, d0, xm, dm))
-
-    dvals = np.array(out_d)
-    mods = np.abs(dvals)
-    i_min = int(np.argmin(mods))
-    min_abs = float(mods[i_min])
-    lo, hi = max(0, i_min - 1), min(len(dvals) - 1, i_min + 1)
-    local_res = float(np.max(np.abs(np.diff(dvals[lo : hi + 1])))) if hi > lo else 0.0
-    if hit_floor or min_abs <= max(10.0 * local_res, 1e-9):
-        raise MarginalError("passes near the origin", min_abs=min_abs)
-    total = float(np.sum(np.angle(dvals[1:] / dvals[:-1])))
-    total += cmath.phase(dvals[0]) - cmath.phase(dvals[-1])
-    winding = -total / (2.0 * np.pi)
-    nearest = int(round(winding))
-    if abs(winding - nearest) > 0.05:
-        raise MarginalError("not an integer", min_abs=min_abs)
-    return nearest, len(dvals), min_abs
-
-
-_SWEEP_DISTS = {
-    "cauchy": Cauchy(1.0),
-    "gaussian": Gaussian(1.0),
-    "bi-cauchy-1-2": bi_cauchy(1.0, 2.0),
-    "cauchy-gauss": Mixture((0.3, 0.7), (Cauchy(0.5, -2.0), Gaussian(0.6, 1.5))),
-}
-
-
-@pytest.mark.parametrize("factor", [0.7, 1.3])
-@pytest.mark.parametrize("name", sorted(_SWEEP_DISTS))
-def test_winding_sweeps_match_stack_refinement(name, factor):
-    dist = _SWEEP_DISTS[name]
-    relation = DispersionRelation(dist, factor * critical_coupling(dist)[0])
-    wind, points, min_abs = dispersion._winding_details(relation)
-    ref_wind, ref_points, ref_min_abs = _stack_winding_details(relation)
-    assert (wind, points) == (ref_wind, ref_points)
-    assert min_abs == pytest.approx(ref_min_abs, rel=1e-15, abs=0.0)
-
-
-def test_winding_sweeps_and_stack_both_marginal_at_threshold():
-    relation = DispersionRelation(Cauchy(1.0), 2.0)
-    with pytest.raises(MarginalError):
-        dispersion._winding_details(relation)
-    with pytest.raises(MarginalError):
-        _stack_winding_details(relation)
