@@ -9,11 +9,12 @@ directory, and drops a config.json sidecar carrying the resolved config and a
 format-version field.  Time series go to CSV (floats printed with 17
 significant digits so reruns are byte-identical), reports to JSON.
 
-The command line is read as argparse read it, without importing argparse
-(whose gettext and locale imports cost about 2 ms a call): options may come
-before or after the experiment, as ``--opt value`` or ``--opt=value`` or a
-unique prefix such as ``--conf``, and the last of a repeated option wins.
-``-h`` prints the help and exits 0; a usage error prints the usage and exits 2.
+The plain command line (options before or after the experiment, as ``--opt
+value`` or ``--opt=value``, the last of a repeated option winning) is read
+without importing argparse, whose gettext and locale imports cost about 2 ms a
+call; argparse parses every other one (a prefix such as ``--conf``, ``--``,
+``-h``, a usage error).  ``-h`` prints the help and exits 0; a usage error
+prints the usage and exits 2.
 
 Exit codes: 0 success, 2 usage or config/validation error (no artifacts; a
 ``--config`` that cannot be read or an ``--out`` that cannot be made a
@@ -983,123 +984,59 @@ def _load_config(path):
     return config
 
 
-# The usage and help texts argparse printed for this grammar, laid out as at 80 columns.
-_USAGE = (
-    "usage: kuramoto-damping [-h] --config CONFIG [--out OUT]\n"
-    "                        {" + ",".join(EXPERIMENTS) + "}\n"
-)
-_HELP = (
-    _USAGE + "\n"
-    "Experiments on damping of the incoherent state in the mean-field oscillator\n"
-    "ensemble\n\n"
-    "positional arguments:\n"
-    "  {" + ",".join(EXPERIMENTS) + "}\n\n"
-    "options:\n"
-    "  -h, --help            show this help message and exit\n"
-    "  --config CONFIG       experiment config JSON\n"
-    "  --out OUT             output directory (default out-<experiment>)\n"
-)
-_OPTIONS = ("-h", "--help", "--config", "--out")
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _usage_error(message):
-    sys.stderr.write(f"{_USAGE}kuramoto-damping: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _option(arg):
-    """(option, value after '=' or None) for an option token; None for an argument.
-
-    The option is None for an unknown one.  As argparse reads them: an option
-    may be a unique prefix of a long option, '-h' may carry more 'h's, and a
-    token that looks like a negative number or holds a space, without naming
-    an option, is an argument.
-    """
-    if len(arg) < 2 or arg[0] != "-":
-        return None
-    if arg in _OPTIONS:
-        return arg, None
-    name, eq, value = arg.partition("=")
-    if eq and name in _OPTIONS:
-        return name, value
-    if arg[1] == "-":
-        matches = [option for option in _OPTIONS if option.startswith(name)]
-        if len(matches) > 1:
-            _usage_error(f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    elif arg.startswith("-h"):
-        return "-h", arg[2:]
-    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
-        return None
-    return None, None
+_OPTIONS = ("--config", "--out")
 
 
 def _parse_args(argv):
     """(experiment, config path, out dir or None) from the command line.
 
-    The grammar is ``<experiment> --config PATH [--out DIR]``.  Every argv
-    has the outcome argparse gave it: options before or after the
-    experiment, ``--opt value`` or ``--opt=value``, unique prefixes of the
-    long options, the last of a repeated option, and '--' before arguments
-    that start with '-'.  ``-h`` prints the help to stdout and raises
-    SystemExit(0); a usage error prints the usage and the error to stderr
-    and raises SystemExit(2).  The one departure: ``--config=--`` gives the
-    path '--', where argparse gave an empty list.
+    The plain grammar is read here: one experiment, and ``--config PATH`` and
+    ``--out DIR`` as ``--opt value`` (a value not starting with '-') or
+    ``--opt=value``, in any order, the last of a repeated option winning.
+    Every other command line goes to ``_argparse``.
     """
-    argv = list(argv)
-    # an argument is None; after '--' every token is one
-    kinds = []
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            kinds += ["--"] + [None] * (len(argv) - i - 1)
-            break
-        kinds.append(_option(arg))
-    values, extras = {}, []
+    values = {}
     i = 0
     while i < len(argv):
-        kind = kinds[i]
-        if kind is None or kind == "--":
-            # the experiment takes one argument, with a '--' on either side
-            start = i + (kind == "--")
-            if "experiment" in values or start == len(argv):
-                extras.append(argv[i])
-                i += 1
-                continue
-            values["experiment"] = argv[start]
-            i = start + 1 + (kinds[start + 1 : start + 2] == ["--"])
-            if values["experiment"] not in EXPERIMENTS:
-                choices = ", ".join(map(repr, EXPERIMENTS))
-                _usage_error(
-                    f"argument experiment: invalid choice: {values['experiment']!r} "
-                    f"(choose from {choices})"
-                )
-            continue
-        option, value = kind
-        if option is None:
-            extras.append(argv[i])
-        elif option in ("-h", "--help"):
-            # '-h' takes more 'h's after it, and nothing else
-            if value is not None and (option != "-h" or value.lstrip("h") or not value):
-                ignored = value.lstrip("h") if option == "-h" else value
-                _usage_error(f"argument -h/--help: ignored explicit argument {ignored!r}")
-            sys.stdout.write(_HELP)
-            raise SystemExit(0)
-        elif value is not None:
-            values[option] = value
-        elif i + 1 < len(argv) and kinds[i + 1] is None:
+        arg = argv[i]
+        name, eq, value = arg.partition("=")
+        if arg in _OPTIONS and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
             i += 1
-            values[option] = argv[i]
+            values[arg] = argv[i]
+        elif eq and name in _OPTIONS:
+            values[name] = value
+        elif arg in EXPERIMENTS and "experiment" not in values:
+            values["experiment"] = arg
         else:
-            _usage_error(f"argument {option}: expected one argument")
+            return _argparse(argv)
         i += 1
-    missing = [key for key in ("experiment", "--config") if key not in values]
-    if missing:
-        _usage_error(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    if "experiment" not in values or "--config" not in values:
+        return _argparse(argv)
     return values["experiment"], values["--config"], values.get("--out")
+
+
+def _argparse(argv):
+    """(experiment, config path, out dir or None) as argparse reads ``argv``.
+
+    Prefixes such as ``--conf``, '--', ``-h`` and usage errors land here: ``-h``
+    prints the help and raises SystemExit(0), a usage error prints the usage
+    and raises SystemExit(2).  Both are laid out at 80 columns whatever the
+    terminal.  argparse's [] for ``--config=--`` or ``--out=--`` is read as the
+    path '--', as on the plain path.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="kuramoto-damping",
+        description="Experiments on damping of the incoherent state in the mean-field "
+        "oscillator ensemble",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+    )
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", required=True, help="experiment config JSON")
+    parser.add_argument("--out", default=None, help="output directory (default out-<experiment>)")
+    args = parser.parse_args(argv)
+    return (args.experiment, *("--" if path == [] else path for path in (args.config, args.out)))
 
 
 def main(argv=None):

@@ -31,7 +31,6 @@ __all__ = [
     "DispersionRelation",
     "StabilityReport",
     "laplace_transform",
-    "winding_number",
     "critical_coupling",
     "find_unstable_root",
     "l1_sufficient_check",
@@ -102,16 +101,6 @@ class DispersionRelation:
 
 # ---------------------------------------------------------------------------
 # Winding number
-
-
-def winding_number(relation):
-    """Index of the origin with respect to the closed curve {D(w) : w real}.
-
-    Counted from the real zeros of Im L, where the curve meets the real axis.
-    Raises MarginalError when the curve passes too close to the origin to
-    count robustly (criterion boundary).
-    """
-    return _winding(relation, _boundary_imag_zeros(relation.dist))[0]
 
 
 def _winding(relation, zeros):

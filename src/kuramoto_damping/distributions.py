@@ -143,12 +143,17 @@ class Cauchy(FrequencyDistribution):
         return np.exp(-(self.half_width + 1j * self.center) * t)
 
     def cdf(self, omega):
-        x = np.asarray(omega, dtype=float) - self.center
-        return 0.5 + np.arctan(x / self.half_width) / np.pi
+        # the angle of (center - omega, half_width) over pi: 0.5 + arctan(u)/pi
+        # would lose the left tail's digits to the sum
+        return np.arctan2(self.half_width, self.center - np.asarray(omega, dtype=float)) / np.pi
 
     def inverse_cdf(self, p):
         p = np.asarray(p, dtype=float)
-        return self.center + self.half_width * np.tan(np.pi * (p - 0.5))
+        # below p = 1/4, p - 0.5 would round away p's digits: there u = -1/tan(pi p)
+        left = p < 0.25
+        with np.errstate(divide="ignore"):
+            tail = -1.0 / np.tan(np.pi * np.where(left, p, 0.25))
+        return self.center + self.half_width * np.where(left, tail, np.tan(np.pi * (p - 0.5)))
 
     def fourier_tail_integral(self, t0):
         return math.exp(-self.half_width * t0) / self.half_width
@@ -601,44 +606,29 @@ _GK_MAX_PANELS = 20_000
 def _gauss_kronrod(func, edges, epsabs, epsrel):
     """Globally adaptive 7/15-point Gauss-Kronrod integral of ``func`` over sorted ``edges``.
 
-    ``func`` maps an array of abscissae to real values.  An infinite first or last
-    edge maps its half-line onto s in [0, 1) by t = a -+ s/(1-s), a the finite end.
-    Each sweep calls ``func`` once, on the nodes and ends of all live panels.  A
-    panel's error estimate is |K15 - G7| plus the miss of the Kronrod interpolant
-    at the panel's ends, which catches a kink between an end and the outermost
-    node that both rules would step over.  The value is returned once the summed
-    estimates are within max(epsabs, epsrel |value|).  Until then a panel whose
-    estimate is within half its share of that tolerance (its fraction of the
-    parameter length) retires, and the others are bisected.  Raises Divergent
-    when the integrand is not finite or the panel cap is reached first.
+    The edges are finite, and ``func`` maps an array of abscissae to real
+    values.  Each sweep calls ``func`` once, on the nodes and ends of all live
+    panels.  A panel's error estimate is |K15 - G7| plus the miss of the
+    Kronrod interpolant at the panel's ends, which catches a kink between an
+    end and the outermost node that both rules would step over.  The value is
+    returned once the summed estimates are within max(epsabs, epsrel |value|).
+    Until then a panel whose estimate is within half its share of that
+    tolerance (1/n for each of n initial panels, halved at each bisection)
+    retires, and the others are bisected.  Raises Divergent when the integrand
+    is not finite or the panel cap is reached first.
     """
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if math.isinf(a):
-            panels.append((0.0, 1.0, b, -1.0))
-        elif math.isinf(b):
-            panels.append((0.0, 1.0, a, 1.0))
-        else:
-            panels.append((a, b, 0.0, 0.0))
-    lo, hi, anchor, side = np.array(panels, dtype=float).T
+    lo, hi = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
     share = np.full(lo.size, 1.0 / lo.size)
     done_value = done_error = 0.0
     done_panels = 0
     while True:
         half = 0.5 * (hi - lo)
-        s = np.column_stack((0.5 * (hi + lo)[:, None] + half[:, None] * _GK_NODES, lo, hi))
-        t, jac = s.copy(), np.ones_like(s)
-        tail = side != 0.0
-        at_infinity = tail[:, None] & (s == 1.0)
-        if tail.any():
-            u = 1.0 / (1.0 - np.where(at_infinity, 0.0, s)[tail])
-            t[tail] = anchor[tail, None] + side[tail, None] * (u - 1.0)
-            jac[tail] = u * u
-        f = func(t.ravel()).reshape(t.shape) * jac
+        t = np.column_stack((0.5 * (hi + lo)[:, None] + half[:, None] * _GK_NODES, lo, hi))
+        f = func(t.ravel()).reshape(t.shape)
         if not np.all(np.isfinite(f)):
             raise Divergent("integrand is not finite at a quadrature node")
         nodes, ends = f[:, :15], f[:, 15:]
-        end_miss = np.where(at_infinity[:, 15:], 0.0, np.abs(ends - nodes @ _GK_END_VALUES))
+        end_miss = np.abs(ends - nodes @ _GK_END_VALUES)
         value = half * (nodes @ _GK_WEIGHTS)
         error = half * (np.abs(nodes @ _GK_DIFFERENCE) + end_miss.sum(axis=1))
         total = done_value + float(value.sum())
@@ -659,8 +649,7 @@ def _gauss_kronrod(func, edges, epsabs, epsrel):
         mid = 0.5 * (lo + hi)[split]
         lo = np.concatenate((lo[split], mid))
         hi = np.concatenate((mid, hi[split]))
-        anchor, side, share = (np.concatenate((v[split], v[split])) for v in (anchor, side, share))
-        share *= 0.5
+        share = 0.5 * np.concatenate((share[split], share[split]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ closed form.  The tests check it here against two routes that share none of it:
 * ``hilbert_boundary_transform``: the real-axis boundary form
   L(w) = pi g(-w) - i * pv-integral, built from the density alone.
 
+``winding_number`` is the bare winding count that ``analyze_stability``
+reports, for the tests that check it against dense oracles.
+
 The reflection g(-w) (rather than g(w)) is forced by the sign convention
 ghat(t) = int g exp(-i t w); for symmetric densities the two agree.  The
 cross-check in ``boundary_values`` guards the orientation.
@@ -23,8 +26,10 @@ import numpy as np
 from kuramoto_damping.dispersion import (
     _ZERO_RTOL,
     _ZERO_XTOL,
+    _boundary_imag_zeros,
     _check_lower_half,
     _envelope_horizon,
+    _winding,
     laplace_transform,
 )
 from kuramoto_damping.exceptions import KuramotoDampingError
@@ -122,6 +127,16 @@ def evaluate_quadrature(relation, omega):
     horizon = _envelope_horizon(relation.dist, relation.coupling)
     val = laplace_transform_quadrature(relation.dist, omega, horizon)
     return 1.0 - 0.5 * relation.coupling * val
+
+
+def winding_number(relation):
+    """Index of the origin with respect to the closed curve {D(w) : w real}.
+
+    Counted from the real zeros of Im L, where the curve meets the real axis.
+    Raises MarginalError when the curve passes too close to the origin to
+    count robustly (criterion boundary).
+    """
+    return _winding(relation, _boundary_imag_zeros(relation.dist))[0]
 
 
 def evaluate_boundary(relation, omega):

@@ -15,7 +15,6 @@ from kuramoto_damping.dispersion import (
     DispersionRelation,
     analyze_stability,
     critical_coupling,
-    winding_number,
 )
 from kuramoto_damping.distributions import Cauchy, Gaussian, bi_cauchy, build_grid
 from kuramoto_damping.exceptions import BlowupDetected, MarginalError
@@ -34,6 +33,7 @@ from kuramoto_damping.volterra import (
     solve,
 )
 
+from dispersion_reference import winding_number
 from solver_routes import empirical_stability_constant
 
 

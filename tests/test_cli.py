@@ -62,6 +62,39 @@ def test_stability_above_threshold(tmp_path):
     assert report["unstableRoots"][0]["im"] < 0
 
 
+def _asymmetric_abs_integral():
+    """int_0^inf |ghat| of 0.3 Cauchy(0.5, -2) + 0.7 Gaussian(0.6, 1.5), by QUADPACK.
+
+    Past t = 80 the Cauchy term's e^{-t/2} leaves below 1e-17.
+    """
+    from scipy import integrate
+
+    def modulus(t):
+        return abs(0.3 * np.exp((-0.5 + 2.0j) * t) + 0.7 * np.exp(-0.18 * t * t - 1.5j * t))
+
+    return integrate.quad(modulus, 0.0, 80.0, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+
+
+@pytest.mark.parametrize("level, sufficient", [(0.9, True), (1.1, False)])
+def test_stability_l1_check_on_a_mixture_without_closed_form(tmp_path, level, sufficient):
+    # the one CLI route to fourier_moment's adaptive quadrature: (K/2) int |ghat| = level
+    mixture = {
+        "family": "mixture",
+        "weights": [0.3, 0.7],
+        "components": [
+            {"family": "cauchy", "delta": 0.5, "center": -2.0},
+            {"family": "gaussian", "sigma": 0.6, "center": 1.5},
+        ],
+    }
+    assert distribution_from_config(mixture).abs_moment(0) is None
+    coupling = 2.0 * level / _asymmetric_abs_integral()
+    cfg = _write_config(tmp_path, "c.json", {"distribution": mixture, "coupling": coupling})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "stability_report.json").read_text())
+    assert report["diagnostics"]["l1SufficientCheck"] is sufficient
+
+
 def test_unknown_key_rejected_without_artifacts(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, "c.json", {"distribution": TWO_BUMP, "coupling": 1.0, "bogus": True}
@@ -227,8 +260,47 @@ def test_parser_matches_argparse_on_every_short_argv(monkeypatch):
 
 
 def test_option_value_of_two_dashes_is_the_string():
-    # argparse gave '--config=--' an empty list, on which main raised TypeError
+    # argparse gives '--config=--' an empty list, on which main raised TypeError;
+    # the first two argvs go to argparse ('--out -1'), the others are plain
+    assert cli._parse_args(["stability", "--config=--", "--out", "-1"]) == ("stability", "--", "-1")
+    assert cli._parse_args(["stability", "--out=--", "--config", "-1"]) == ("stability", "-1", "--")
+    assert cli._parse_args(["stability", "--config", "a", "--out=--"]) == ("stability", "a", "--")
     assert cli._parse_args(["stability", "--config=--"]) == ("stability", "--", None)
+
+
+# the bench's argv shape, the options first, the '=' forms, a repeat, values named as experiments
+PLAIN_ARGVS = [
+    ["stability", "--config", "c.json", "--out", "o"],
+    ["--out", "o", "--config", "c.json", "linear"],
+    ["witness", "--config=c.json", "--out=o"],
+    ["--config=", "finite-n", "--out="],
+    ["compare", "--config", "a", "--config", "b", "--out", "x", "--out=y"],
+    ["--config", "stability", "kc-scan", "--out", "linear"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
+def test_plain_command_line_is_read_without_argparse(argv, monkeypatch):
+    def refuse(argv):
+        raise AssertionError(f"argparse reached on {argv}")
+
+    expected = _reference_outcome(argv)
+    monkeypatch.setattr(cli, "_argparse", refuse)
+    assert _parse_outcome(cli._parse_args, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["stability", "--conf", "c.json"], ["--", "stability", "--config", "c.json"],
+     ["stability", "--config", "c.json", "--"], ["stability"], ["bogus", "--config", "c.json"],
+     ["stability", "linear", "--config", "c.json"], ["stability", "--config", "-x"]],
+    ids=" ".join,
+)
+def test_every_other_command_line_goes_to_argparse(argv, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_argparse", lambda argv: seen.append(list(argv)) or "parsed")
+    assert cli._parse_args(argv) == "parsed"
+    assert seen == [argv]
 
 
 def test_invalid_json_rejected(tmp_path):

@@ -14,7 +14,6 @@ from kuramoto_damping.dispersion import (
     find_unstable_root,
     l1_sufficient_check,
     laplace_transform,
-    winding_number,
 )
 from kuramoto_damping.distributions import (
     Cauchy,
@@ -33,6 +32,7 @@ from dispersion_reference import (
     evaluate_boundary,
     evaluate_quadrature,
     refine_sign_changes,
+    winding_number,
 )
 
 TEST_DISTS = [Cauchy(1.0), Gaussian(1.0), bi_cauchy(1.0, 2.0)]
@@ -554,10 +554,14 @@ class _Lorentzian(FrequencyDistribution):
         return np.exp(-self.delta * np.asarray(t, dtype=float)) + 0j
 
     def cdf(self, omega):
-        return 0.5 + np.arctan(np.asarray(omega, dtype=float) / self.delta) / np.pi
+        return np.arctan2(self.delta, -np.asarray(omega, dtype=float)) / np.pi
 
     def inverse_cdf(self, p):
-        return self.delta * np.tan(np.pi * (np.asarray(p, dtype=float) - 0.5))
+        # the left tail as -1/tan(pi p), which keeps p's digits
+        p = np.asarray(p, dtype=float)
+        if p < 0.25:
+            return self.delta * (-1.0 / np.tan(np.pi * p))
+        return self.delta * np.tan(np.pi * (p - 0.5))
 
     def fourier_tail_integral(self, t0):
         return math.exp(-self.delta * t0) / self.delta

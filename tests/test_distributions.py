@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -474,6 +475,35 @@ def test_narrow_two_bump_grid_at_default_threshold():
     grid = build_grid(bi_cauchy(1.0, 0.5), 512)
     assert grid.weights.sum() >= 1.0 - 1e-8
     assert np.all(np.diff(grid.nodes) > 0)
+
+
+def _cauchy_cdf_mp(u):
+    return mpmath.mpf(0.5) + mpmath.atan(mpmath.mpf(u)) / mpmath.pi
+
+
+def test_cauchy_cdf_and_quantile_keep_their_digits_in_the_left_tail():
+    # 0.5 + arctan(u)/pi rounds to 1e-16 absolute: 6.8e-9 relative at u = -1e8,
+    # and tan(pi (p - 0.5)) loses p's digits to p - 0.5 the same way
+    with mpmath.workdps(40):
+        u = -np.logspace(1.0, 8.0, 71)
+        exact = np.array([float(_cauchy_cdf_mp(x)) for x in u])
+        assert np.max(np.abs(Cauchy(1.0).cdf(u) - exact) / exact) <= 4e-16
+        p = np.logspace(-12.0, -1.0, 45)
+        exact = np.array([float(mpmath.tan(mpmath.pi * (mpmath.mpf(x) - 0.5))) for x in p])
+        assert np.max(np.abs(Cauchy(1.0).inverse_cdf(p) - exact) / -exact) <= 4e-16
+
+
+@pytest.mark.parametrize("p", [2.5e-9, 2.5e-5, 1e-3])
+def test_two_bump_quantile_in_the_left_tail_matches_mpmath(p):
+    # p = 2.5e-9 is build_grid's left cut at its default mass threshold; the
+    # component quantiles that bracket the root were off by 1e-8 there
+    omega = float(bi_cauchy(1.0, 0.5).inverse_cdf(p))
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda w: (_cauchy_cdf_mp(w + 0.5) + _cauchy_cdf_mp(w - 0.5)) / 2 - mpmath.mpf(p),
+            mpmath.mpf(omega),
+        )
+    assert abs(omega - float(root)) <= 1e-15 * abs(float(root))
 
 
 # ---------------------------------------------------------------------------

@@ -66,17 +66,20 @@ def test_cli_import_builds_no_fft_length_table():
 
 def test_cli_calls_load_no_argument_parser_or_locale(tmp_path):
     # argparse imports gettext, and its first parser imports locale: about 2 ms
-    # of every CLI call, which reads a fixed grammar
+    # of every CLI call.  No plain command line loads them: the bench's argv
+    # shape runs, and the options-first order and the '=' forms are parsed
     calls = _cli_calls(tmp_path, [
         ("stability", {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 1.0}),
         ("linear", {"distribution": {"family": "cauchy", "delta": 1.0}, "coupling": 1.0,
                     "input": {"type": "poly_decay"}, "dt": 0.05, "horizon": 1.0}),
     ])
+    parsed = [["--out", "o", "--config", "c.json", "stability"], ["linear", "--config=c", "--out=o"]]
     probe = (
         f"import sys, kuramoto_damping.cli as cli; codes = [cli.main(a) for a in {calls!r}]; "
+        f"codes += [len(cli._parse_args(a)) for a in {parsed!r}]; "
         "print(codes, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
     )
-    assert _probe(probe) == "[0, 0]"
+    assert _probe(probe) == "[0, 0, 3, 3]"
 
 
 _NATIVE_CALLS_PROBE = """
@@ -200,7 +203,9 @@ _NOT_DEFERRED = {"scipy", "argparse", "gettext", "locale"}
 
 def test_no_scipy_import_inside_a_function():
     # a deferred import would hide from the sys.modules checks above and move its
-    # cost into the call that reaches it; argparse, gettext and locale as scipy
+    # cost into the call that reaches it; argparse, gettext and locale as scipy.
+    # The one exception is argparse in cli._argparse, which parses every command
+    # line but the plain one, so no bench or README call reaches it
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -213,8 +218,9 @@ def test_no_scipy_import_inside_a_function():
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
                     names = [node.module or ""]
-                found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] in _NOT_DEFERRED]
-    assert found == []
+                label = f"{path.stem}.{func.name}"
+                found += [(label, n) for n in names if n.split(".")[0] in _NOT_DEFERRED]
+    assert found == [("cli._argparse", "argparse")]
 
 
 _FAMILIES = {"Cauchy", "Gaussian", "Mixture"}
@@ -246,35 +252,50 @@ def test_no_module_but_distributions_knows_the_families():
     assert found == []
 
 
+_MODULES = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+
+
 def _mentions(node):
-    """The identifiers and attribute names that a node's code mentions."""
-    return {
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    }
+    """What a node's code mentions: each bare name, and '.attr' for each
+    attribute.  An attribute of a package module, as in ``dispersion.f``,
+    is the bare name ``f``: a module-level function is reached by that or
+    by its bare name, never as ``self.f``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            qualified = isinstance(sub.value, ast.Name) and sub.value.id in _MODULES
+            found.add(sub.attr if qualified else f".{sub.attr}")
+    return found
 
 
 def _package_definitions():
-    """(label, name, mentions) of every function, class and method of the
+    """(label, names, mentions) of every function, class and method of the
     package, and the names mentioned by the code that runs unasked.
 
-    That code is each module's own statements, each class's bases,
-    decorators and body statements, and every dunder method: it runs on
-    import, on construction or through an operator, without being named.
+    A definition is reached by a mention of any of its names: a method by
+    its bare name or any attribute of that name, a module-level function or
+    class by its bare name only.  The code that runs unasked is each
+    module's own statements, each class's bases, decorators and body
+    statements, and every dunder method: it runs on import, on construction
+    or through an operator, without being named.  A dataclass field's name
+    mentions nothing; its annotation and default do.
     """
     definitions, roots = [], []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
-                definitions.append((f"{path.stem}.{node.name}", node.name, _mentions(node)))
+                definitions.append((f"{path.stem}.{node.name}", {node.name}, _mentions(node)))
             elif isinstance(node, ast.ClassDef):
-                definitions.append((f"{path.stem}.{node.name}", node.name, set()))
+                definitions.append((f"{path.stem}.{node.name}", {node.name}, set()))
                 roots += node.bases + node.decorator_list
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                         label = f"{path.stem}.{node.name}.{item.name}"
-                        definitions.append((label, item.name, _mentions(item)))
+                        definitions.append((label, {item.name, f".{item.name}"}, _mentions(item)))
+                    elif isinstance(item, ast.AnnAssign):
+                        roots += [item.annotation] + ([item.value] if item.value else [])
                     else:
                         roots.append(item)
             else:
@@ -292,8 +313,8 @@ def test_every_src_definition_is_reachable_from_the_cli():
     size = 0
     while size < len(reached):
         size = len(reached)
-        for _, name, mentions in definitions:
-            if name in reached:
+        for _, names, mentions in definitions:
+            if names & reached:
                 reached |= mentions
-    unreached = [label for label, name, _ in definitions if name not in reached]
+    unreached = [label for label, names, _ in definitions if not names & reached]
     assert sorted({label.rsplit(".", 1)[1] for label in unreached}) == [], unreached
